@@ -9,36 +9,21 @@ with exact increment laws and occupation local times backs a statistical
 harness that checks every closed form against paths.
 """
 
-from .models import (LevyModel, brownian, check_condition_a, jump_diffusion,
-                     psi, sample_increment, symmetric_stable)
-from .pathsim import (ExponentialClock, HitDetector, HittingClock,
-                      InverseLocalTimeClock, MCConfig, Path, SimGrid,
-                      TwoPointHittingClock, first_hitting, inverse_local_time,
-                      realize_clock, simulate_path)
-from .penalization import (PathState, PenalizationParams, estimate_decay_rate,
-                           inverse_clock_martingale_value,
+from .models import brownian, check_condition_a, jump_diffusion, symmetric_stable
+from .pathsim import MCConfig, SimGrid
+from .penalization import (PenalizationParams, estimate_decay_rate,
                            local_time_until_either_hit, local_time_until_hit,
-                           martingale_factor, martingale_value, prob_hit_before,
-                           weight_value)
-from .resolvent import (QuadratureConfig, ZeroLimitConfig, resolvent_density,
-                        resolvent_gap, tilted_zero_resolvent, zero_resolvent,
-                        zero_resolvent_fn)
+                           martingale_factor, prob_hit_before)
+from .resolvent import (resolvent_density, resolvent_gap, tilted_zero_resolvent,
+                        zero_resolvent)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LevyModel", "brownian", "symmetric_stable", "jump_diffusion",
-    "psi", "sample_increment", "check_condition_a",
-    "QuadratureConfig", "ZeroLimitConfig",
-    "resolvent_density", "resolvent_gap", "zero_resolvent",
-    "tilted_zero_resolvent", "zero_resolvent_fn",
-    "PenalizationParams", "PathState",
-    "local_time_until_hit", "local_time_until_either_hit", "prob_hit_before",
-    "martingale_factor", "martingale_value", "weight_value",
-    "inverse_clock_martingale_value", "estimate_decay_rate",
-    "SimGrid", "MCConfig", "Path",
-    "ExponentialClock", "HittingClock", "TwoPointHittingClock",
-    "InverseLocalTimeClock", "HitDetector",
-    "simulate_path", "first_hitting", "inverse_local_time", "realize_clock",
+    "brownian", "symmetric_stable", "jump_diffusion", "check_condition_a",
+    "resolvent_density", "resolvent_gap", "zero_resolvent", "tilted_zero_resolvent",
+    "PenalizationParams", "local_time_until_hit", "local_time_until_either_hit",
+    "prob_hit_before", "martingale_factor", "estimate_decay_rate",
+    "SimGrid", "MCConfig",
     "__version__",
 ]

@@ -19,12 +19,10 @@ import numpy as np
 
 __all__ = [
     "LevyModel",
-    "ConditionADiagnostic",
     "brownian",
     "symmetric_stable",
     "jump_diffusion",
     "check_condition_a",
-    "psi",
     "sample_increment",
 ]
 

@@ -1,24 +1,18 @@
-"""Discretized Levy paths with tracked local times and clock realizations.
+"""Discretized Levy paths with tracked local times and point-hit detection.
 
 Local time at a level is accumulated by the occupation-window rule
 ``dL = dt/(2 eps) * 1{|X - level| < eps}`` evaluated at the left endpoint
 of every step, the natural discretisation of the occupation-density
-definition.  Point hitting is realized as window entry plus, for models
-with a Gaussian component, a Brownian-bridge correction that detects
-sub-step crossings; for pure-jump models no crossing correction is
-applied because a step straddling the level usually means the path
-jumped over it without touching.
+definition.  Point hitting follows one rule per model (``_detect_hit``):
+exact-in-distribution crossing detection (straddle plus Brownian bridge)
+for models with a Gaussian component, window entry for pure-jump models.
 
-Two layers live here:
-
-* the ``Path`` object and the operations on it (``simulate_path``,
-  ``first_hitting``, ``inverse_local_time``, ``realize_clock``) used by
-  the CLI dumps and the unit tests;
-* a chunked per-path walker (``walk_ensembles`` via ``PathPlan``) that
-  the statistical harness uses so that ensembles never materialize whole
-  trajectories.  Every path owns a private stream derived from
-  ``(master seed, tag, path index)``, which makes results reproducible
-  regardless of execution order or sharding.
+Every statistic is computed by the chunked per-path walker
+(``walk_one`` under a ``PathPlan``), so ensembles never materialize whole
+trajectories.  Every path owns a private stream derived from
+``(master seed, tag, path index)``, which makes results reproducible
+regardless of execution order or sharding.  ``simulate_path`` keeps a
+whole trajectory, for the path dumps of the command line only.
 """
 
 from __future__ import annotations
@@ -33,19 +27,8 @@ from .models import LevyModel
 __all__ = [
     "SimGrid",
     "MCConfig",
-    "Path",
-    "ExponentialClock",
-    "HittingClock",
-    "TwoPointHittingClock",
-    "InverseLocalTimeClock",
-    "HitDetector",
-    "default_detector",
     "simulate_path",
-    "first_hitting",
-    "inverse_local_time",
-    "realize_clock",
     "PathPlan",
-    "PathRecord",
     "walk_one",
     "path_stream",
 ]
@@ -53,10 +36,6 @@ __all__ = [
 _MAX_STEPS = 1_000_000_000
 _CHUNK = 8192
 NOT_HIT = np.iinfo(np.int64).max
-
-
-class BudgetError(RuntimeError):
-    """Step budget of the simulation grid exceeded."""
 
 
 @dataclass(frozen=True)
@@ -73,8 +52,13 @@ class SimGrid:
     eps: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.dt, self.horizon, self.eps)):
+            raise ValueError(f"grid fields must be finite, got dt={self.dt}, "
+                             f"horizon={self.horizon}, eps={self.eps}")
         if not self.dt > 0 or not self.horizon > 0:
             raise ValueError("dt and horizon must be positive")
+        if self.eps < 0:
+            raise ValueError("eps must be positive (0 selects the default)")
         if self.eps == 0.0:
             object.__setattr__(self, "eps", 5.0 * math.sqrt(self.dt))
         if self.dt > self.eps**2 * (1 + 1e-12):
@@ -113,89 +97,13 @@ class MCConfig:
 
 
 # ---------------------------------------------------------------------------
-# clocks
-
-@dataclass(frozen=True)
-class ExponentialClock:
-    """Independent exponential time with rate q."""
-
-    q: float
-
-    def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError("exponential clock rate must be positive")
-
-
-@dataclass(frozen=True)
-class HittingClock:
-    """First hitting time of the level c."""
-
-    c: float
-
-
-@dataclass(frozen=True)
-class TwoPointHittingClock:
-    """Earlier of the hitting times of c and -d, both thresholds positive."""
-
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if not (self.c > 0 and self.d > 0):
-            raise ValueError("two-point clock thresholds must be positive")
-
-
-@dataclass(frozen=True)
-class InverseLocalTimeClock:
-    """First time the local time at c exceeds u."""
-
-    c: float
-    u: float
-
-    def __post_init__(self):
-        if not self.u > 0:
-            raise ValueError("local-time threshold must be positive")
-
-
-@dataclass(frozen=True)
-class HitDetector:
-    """Point-hitting detection rule for discretized paths.
-
-    ``delta`` is the entry-window half-width (0 disables the window),
-    ``straddle`` counts sign changes across a step as crossings, and a
-    positive ``bridge_sigma`` adds the Brownian-bridge sub-step crossing
-    draw for same-side steps.
-    """
-
-    delta: float
-    straddle: bool
-    bridge_sigma: float = 0.0
-
-
-def default_detector(model: LevyModel, grid: SimGrid) -> HitDetector:
-    """Detection rule the harness uses for a model.
-
-    Gaussian-component models get exact crossing detection (straddle +
-    bridge, no window): the bridge law makes the first-crossing time
-    exact in distribution, while an entry window would systematically
-    advance hits by its half-width.  Pure-jump models keep the entry
-    window, the honest event under overshoot.
-    """
-    if model.has_gaussian_part:
-        return HitDetector(delta=0.0, straddle=True, bridge_sigma=model.gaussian_sigma)
-    return HitDetector(delta=grid.delta, straddle=False)
-
-
-# ---------------------------------------------------------------------------
-# full-path objects
+# path dumps
 
 @dataclass
 class Path:
     """A realized trajectory on the simulation grid with local times."""
 
-    model: LevyModel | None
     grid: SimGrid
-    x0: float
     values: np.ndarray                  # X at grid points 0..n
     tracked_levels: tuple
     local_times: dict                   # level -> L at grid points 0..n
@@ -204,17 +112,11 @@ class Path:
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.grid.dt
 
-    def state_at(self, t: float):
-        k = min(int(t / self.grid.dt), len(self.values) - 1)
-        return self.values[k], {lv: lt[k] for lv, lt in self.local_times.items()}
-
 
 def simulate_path(model: LevyModel, x0: float, grid: SimGrid, tracked,
                   stream: np.random.Generator) -> Path:
-    """Simulate one path with exact increments and occupation local times."""
+    """Simulate one whole path with exact increments and occupation local times."""
     n = grid.n_steps
-    if n > _MAX_STEPS:
-        raise BudgetError(f"{n} steps exceed the grid cap")
     tracked = tuple(sorted(set(float(t) for t in tracked)))
     values = np.empty(n + 1)
     values[0] = x0
@@ -228,105 +130,35 @@ def simulate_path(model: LevyModel, x0: float, grid: SimGrid, tracked,
         lt[0] = 0.0
         np.cumsum(inc, out=lt[1:])
         local_times[lv] = lt
-    return Path(model=model, grid=grid, x0=x0, values=values,
-                tracked_levels=tracked, local_times=local_times)
+    return Path(grid=grid, values=values, tracked_levels=tracked, local_times=local_times)
 
 
-def _detect_hit(values: np.ndarray, level: float, det: HitDetector, dt: float,
-                stream: np.random.Generator | None):
+def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGrid,
+                rng: np.random.Generator):
     """First detection index into the grid-point array, or None.
 
-    Window entry detects at the grid point itself, crossings (straddle
-    or bridge) at the right endpoint of the offending step.
+    One rule per model.  With a Gaussian component, a step crosses the
+    level when its endpoints straddle it or, for a same-side step, with
+    the Brownian-bridge crossing probability exp(-2 d0 d1 / (sigma^2 dt));
+    this makes the first-crossing time exact in distribution, detected at
+    the right endpoint of the step.  Pure-jump models detect entry of a
+    grid point into the window |X - level| <= delta, the honest event
+    under overshoot: a step straddling the level usually jumped over it.
     """
     d = values - level
-    n_steps = len(values) - 1
-    first_win = None
-    if det.delta > 0:
-        win = np.abs(d[:-1]) <= det.delta
-        if win.any():
-            first_win = int(np.argmax(win))
-    first_cross = None
-    if det.straddle or det.bridge_sigma > 0:
-        prod = d[:-1] * d[1:]
-        cand = prod <= 0.0 if det.straddle else np.zeros(n_steps, bool)
-        if det.bridge_sigma > 0 and stream is not None:
-            p = np.exp(-2.0 * np.maximum(prod, 0.0) / (det.bridge_sigma**2 * dt))
-            same = ~cand & (p > 1e-14)
-            if same.any():
-                u = stream.random(int(same.sum()))
-                fire = np.zeros(n_steps, bool)
-                fire[same] = u < p[same]
-                cand |= fire
-        if cand.any():
-            first_cross = int(np.argmax(cand)) + 1
-    if first_win is None and first_cross is None:
-        return None
-    if first_win is None:
-        return first_cross
-    if first_cross is None:
-        return first_win
-    return min(first_win, first_cross)
-
-
-def first_hitting(path: Path, level: float, delta: float | None = None,
-                  stream: np.random.Generator | None = None) -> float | None:
-    """First grid time at which the path is detected at the level.
-
-    Detection is window entry within ``delta`` (default eps/2) or a step
-    crossing; when the generating model has a Gaussian component and a
-    stream is supplied, same-side steps may also fire via the
-    Brownian-bridge probability.  Returns None when never detected.
-    """
-    if delta is None:
-        delta = path.grid.delta
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    model = path.model
-    if model is not None and not model.has_gaussian_part:
-        det = HitDetector(delta=delta, straddle=False)
-    else:
-        sigma = model.gaussian_sigma if (model is not None and stream is not None) else 0.0
-        det = HitDetector(delta=delta, straddle=True, bridge_sigma=sigma)
-    idx = _detect_hit(path.values, level, det, path.grid.dt, stream)
-    return None if idx is None else idx * path.grid.dt
-
-
-def inverse_local_time(path: Path, level: float, u: float) -> float | None:
-    """First grid time at which the tracked local time exceeds u."""
-    lv = float(level)
-    if lv not in path.local_times:
-        raise ValueError(f"level {level} is not tracked on this path")
-    above = path.local_times[lv] > u
-    if not above.any():
-        return None
-    return int(np.argmax(above)) * path.grid.dt
-
-
-def realize_clock(path: Path, clock, stream: np.random.Generator,
-                  delta: float | None = None) -> float | None:
-    """Realize one of the four clock families on a path.
-
-    Returns the clock time, or None when the clock did not ring within
-    the horizon (censoring; callers account for it explicitly).
-    """
-    horizon = path.grid.horizon
-    if isinstance(clock, ExponentialClock):
-        t = stream.exponential(1.0 / clock.q)
-        return t if t <= horizon else None
-    if isinstance(clock, HittingClock):
-        return first_hitting(path, clock.c, delta, stream)
-    if isinstance(clock, TwoPointHittingClock):
-        up = first_hitting(path, clock.c, delta, stream)
-        down = first_hitting(path, -clock.d, delta, stream)
-        if up is None:
-            return down
-        if down is None:
-            return up
-        return min(up, down)
-    if isinstance(clock, InverseLocalTimeClock):
-        return inverse_local_time(path, clock.c, clock.u)
-    raise TypeError(f"unknown clock spec {clock!r}")
+    if not model.has_gaussian_part:
+        win = np.abs(d[:-1]) <= grid.delta
+        return int(np.argmax(win)) if win.any() else None
+    prod = d[:-1] * d[1:]
+    cand = prod <= 0.0
+    p = np.exp(-2.0 * np.maximum(prod, 0.0) / (model.gaussian_sigma**2 * grid.dt))
+    same = ~cand & (p > 1e-14)
+    if same.any():
+        u = rng.random(int(same.sum()))
+        fire = np.zeros(len(prod), bool)
+        fire[same] = u < p[same]
+        cand |= fire
+    return int(np.argmax(cand)) + 1 if cand.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +225,8 @@ def path_stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
 
 
 def walk_one(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
-             rng: np.random.Generator, detector: HitDetector | None = None) -> PathRecord:
+             rng: np.random.Generator) -> PathRecord:
     """Walk a single path under a plan, chunk by chunk, never storing it."""
-    det = detector if detector is not None else default_detector(model, grid)
     dt = grid.dt
     unit = dt / (2.0 * grid.eps)
     horizon_step = grid.n_steps
@@ -443,7 +274,7 @@ def walk_one(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
         for k in range(len(hits)):
             if hit_steps[k] != NOT_HIT:
                 continue
-            idx = _detect_hit(seg, hits[k], det, dt, rng)
+            idx = _detect_hit(seg, hits[k], model, grid, rng)
             if idx is not None:
                 hit_steps[k] = g + idx
                 new_hits.append(k)

@@ -17,9 +17,9 @@ martingale.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -31,16 +31,13 @@ from .resolvent import QuadratureConfig, ZeroLimitConfig, zero_resolvent_fn
 
 __all__ = [
     "PenalizationParams",
-    "PathState",
-    "DecayRateEstimate",
     "MCDegenerateError",
     "local_time_until_hit",
     "local_time_until_either_hit",
     "prob_hit_before",
     "martingale_factor",
-    "weight_value",
-    "martingale_value",
-    "inverse_clock_martingale_value",
+    "path_weight",
+    "inverse_clock_value",
     "estimate_decay_rate",
     "zero_resolvent_cached_fn",
 ]
@@ -53,6 +50,7 @@ AVOID = "avoid"            # avoidance of both points
 UNWEIGHTED = "unweighted"  # both rates zero; weight identically one
 
 _NEG_CLAMP = 1e-10
+_H_FN_CACHE_SIZE = 64   # evaluators, one per (model, quadrature, limit) config
 
 
 class MCDegenerateError(RuntimeError):
@@ -76,6 +74,8 @@ class PenalizationParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"penalized points must be finite, got {self.a}, {self.b}")
         if self.a == self.b:
             raise ValueError("the two penalized points must be distinct")
         if not -1.0 <= self.gamma <= 1.0:
@@ -100,39 +100,18 @@ class PenalizationParams:
             return SINGLE
         return AVOID
 
-
-@dataclass(frozen=True)
-class PathState:
-    """Position and local times of a path at one instant."""
-
-    x: float
-    l_a: float
-    l_b: float
-    l_c: float = 0.0
-
-    def __post_init__(self):
-        for name in ("l_a", "l_b", "l_c"):
-            v = getattr(self, name)
-            if not (0.0 <= v < math.inf):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+    @property
+    def rates(self) -> tuple:
+        """((a, lambda_a), (b, lambda_b)): each penalized point with its rate."""
+        return ((self.a, self.lambda_a), (self.b, self.lambda_b))
 
 
-_h_fn_cache: dict = {}
-_h_fn_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=_H_FN_CACHE_SIZE)
 def zero_resolvent_cached_fn(model: LevyModel,
                              cfg: QuadratureConfig | None = None,
                              ext: ZeroLimitConfig | None = None):
     """Per-model vectorized zero-resolvent evaluator, built once."""
-    key = (model, cfg, ext)
-    with _h_fn_lock:
-        fn = _h_fn_cache.get(key)
-    if fn is None:
-        fn = zero_resolvent_fn(model, cfg, ext)
-        with _h_fn_lock:
-            _h_fn_cache[key] = fn
-    return fn
+    return zero_resolvent_fn(model, cfg, ext)
 
 
 def _tilted(model: LevyModel, h, gamma: float, x):
@@ -241,44 +220,30 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def weight_value(params: PenalizationParams, l_a, l_b):
-    """Local-time weight of the penalization at given occupation values.
+def path_weight(rates, plan: PathPlan, step: int, local_times, hit_steps) -> float:
+    """Local-time weight exp(-la L^a - lb L^b) of a walked path at a grid step.
 
-    exp(-la L^a - lb L^b) with each infinite rate replaced by the exact
-    indicator of zero local time.  Accepts scalars or arrays.
+    ``rates`` pairs each point with its rate, as ``PenalizationParams.rates``.
+    A finite rate reads the occupation local time of its point from
+    ``local_times`` (ordered as ``plan.tracked_levels``); an infinite rate
+    is the exact indicator that its point was not detected by ``step``
+    (``hit_steps`` ordered as ``plan.hit_levels``).  Zero rates weigh 1.
     """
-    la, lb = params.lambda_a, params.lambda_b
-    l_a = np.asarray(l_a, dtype=float)
-    l_b = np.asarray(l_b, dtype=float)
-    regime = params.regime
-    if regime == UNWEIGHTED:
-        out = np.ones(np.broadcast(l_a, l_b).shape)
-    elif regime == FINITE:
-        out = np.exp(-la * l_a - lb * l_b)
-    elif regime == SINGLE:
-        out = np.exp(-la * l_a) * (l_b == 0.0)
-    else:
-        out = ((l_a == 0.0) & (l_b == 0.0)).astype(float)
-    return float(out) if (np.ndim(l_a) == 0 and np.ndim(l_b) == 0) else out
+    w = 1.0
+    for point, lam in rates:
+        if lam == math.inf:
+            if hit_steps[plan.hit_levels.index(point)] <= step:
+                return 0.0
+        elif lam > 0:
+            w *= math.exp(-lam * local_times[plan.tracked_levels.index(point)])
+    return w
 
 
-def martingale_value(model: LevyModel, params: PenalizationParams,
-                     state: PathState, h=None) -> float:
-    """Value of the penalization martingale at one path state."""
-    return float(martingale_factor(model, params, state.x, h=h)
-                 * weight_value(params, state.l_a, state.l_b))
-
-
-def inverse_clock_martingale_value(decay_rate: float, params: PenalizationParams,
-                                   state: PathState) -> float:
-    """Value of the inverse-local-time-clock martingale at one path state.
-
-    exp(L^c * rate) times the local-time weight; no position factor.
-    """
-    if decay_rate < 0:
-        raise ValueError("decay rate must be nonnegative")
-    return float(math.exp(state.l_c * decay_rate)
-                 * weight_value(params, state.l_a, state.l_b))
+def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float, step: int,
+                        local_times, hit_steps) -> float:
+    """exp(L^c * decay_rate) times the weight: the inverse-clock reference process."""
+    return (math.exp(local_times[plan.tracked_levels.index(c)] * decay_rate)
+            * path_weight(rates, plan, step, local_times, hit_steps))
 
 
 @dataclass(frozen=True)
@@ -319,14 +284,11 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     if lambda_a < 0 or lambda_b < 0:
         raise ValueError("weight rates must be nonnegative")
     u_grid = (0.5 * u0, u0, 2.0 * u0)
-    tracked = (a, b, c) if (math.isfinite(lambda_a) and math.isfinite(lambda_b)) else (c,)
-    hit_levels = tuple(lv for lv, lam in ((a, lambda_a), (b, lambda_b)) if lam == math.inf)
-    plan = PathPlan(tracked_levels=tuple(sorted(set(tracked))),
-                    hit_levels=hit_levels,
+    rates = ((a, lambda_a), (b, lambda_b))
+    finite = tuple(lv for lv, lam in rates if math.isfinite(lam))
+    plan = PathPlan(tracked_levels=tuple(sorted({*finite, c})),
+                    hit_levels=tuple(lv for lv, lam in rates if lam == math.inf),
                     lt_level=c, lt_thresholds=u_grid, lt_stop=True)
-    idx_a = plan.tracked_levels.index(a) if a in plan.tracked_levels else -1
-    idx_b = plan.tracked_levels.index(b) if b in plan.tracked_levels else -1
-    hit_idx = {lv: i for i, lv in enumerate(hit_levels)}
 
     n = mc.n_paths
     weights = np.full((3, n), np.nan)
@@ -338,16 +300,7 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
             if got is None:
                 continue
             step, lts, hsteps = got
-            w = 1.0
-            if lambda_a == math.inf:
-                w *= float(hsteps[hit_idx[a]] > step)
-            elif lambda_a > 0:
-                w *= math.exp(-lambda_a * lts[idx_a])
-            if lambda_b == math.inf:
-                w *= float(hsteps[hit_idx[b]] > step)
-            elif lambda_b > 0:
-                w *= math.exp(-lambda_b * lts[idx_b])
-            weights[j, i] = w
+            weights[j, i] = path_weight(rates, plan, step, lts, hsteps)
 
     present = ~np.isnan(weights)
     survivors = tuple(int(np.nansum(weights[j] > 0)) for j in range(3))

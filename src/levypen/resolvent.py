@@ -20,8 +20,8 @@ sums bottom out near 1e-11 of the integrand scale.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -108,14 +108,16 @@ _DEFAULT_QUAD = QuadratureConfig()
 _DEFAULT_LIMIT = ZeroLimitConfig()
 
 # magnitude (relative to the kernel scale) below which float64 Fourier
-# quadrature cancels away; such values are recomputed in mpmath
+# quadrature cancels away; such values are recomputed in mpmath with the
+# digits the cancellation costs plus _MP_DIGITS, at most _MP_DPS
 _ESCALATE_REL = 1e-6
+_MP_DIGITS = 10
 _MP_DPS = 30
 
-_r0_cache: dict = {}
-_h_cache: dict = {}
-_density_cache: dict = {}
-_cache_lock = threading.Lock()
+# bounds of the memo tables (entries); a miss only costs a recomputation
+_R0_CACHE_SIZE = 256
+_DENSITY_CACHE_SIZE = 4096
+_H_CACHE_SIZE = 4096
 
 
 def _kernel_parts(model: LevyModel, q: float):
@@ -177,6 +179,12 @@ def _auto_tail_cut(model: LevyModel, q: float, x: float, cfg: QuadratureConfig) 
     return lam
 
 
+def _finite_point(x: float) -> None:
+    # a NaN or infinite position would reach QUADPACK's weighted rules
+    if not math.isfinite(x):
+        raise ValueError(f"position must be finite, got {x}")
+
+
 def _condition_a_guard(model: LevyModel, q: float):
     if not q > 0:
         raise ValueError("q must be positive")
@@ -197,11 +205,11 @@ def _psi_mp(model: LevyModel, lam):
     return mp.mpf(model.sigma) ** 2 * lam * lam / 2 + model.jump_rate * (1 - jump_cf)
 
 
-def _density_mp(model: LevyModel, q: float, x: float) -> float:
+def _density_mp(model: LevyModel, q: float, x: float, dps: int) -> float:
     """Arbitrary-precision fallback for deeply cancelled transforms."""
     import mpmath as mp
 
-    with mp.workdps(_MP_DPS):
+    with mp.workdps(dps):
         w = mp.mpf(abs(x))
         period = 2 * mp.pi / w
 
@@ -216,12 +224,9 @@ def _density_mp(model: LevyModel, q: float, x: float) -> float:
         return float(val / mp.pi)
 
 
+@functools.lru_cache(maxsize=_R0_CACHE_SIZE)
 def _r0(model: LevyModel, q: float, cfg: QuadratureConfig) -> float:
     """r_q(0), memoized: it is both an output and the escalation scale."""
-    key = (model, q, cfg)
-    with _cache_lock:
-        if key in _r0_cache:
-            return _r0_cache[key]
     a_part, _ = _kernel_parts(model, q)
     scale = model.small_freq_scale(q)
     cut = max(10.0, 64.0 * scale)
@@ -229,10 +234,7 @@ def _r0(model: LevyModel, q: float, cfg: QuadratureConfig) -> float:
                          points=[p for p in (0.5 * scale, scale, 4 * scale, 16 * scale)
                                  if 0 < p < cut])
     tail = _quad_checked(a_part, cut, np.inf, cfg)
-    val = (body + tail) / math.pi
-    with _cache_lock:
-        _r0_cache[key] = val
-    return val
+    return (body + tail) / math.pi
 
 
 def resolvent_density(model: LevyModel, q: float, x: float,
@@ -244,14 +246,18 @@ def resolvent_density(model: LevyModel, q: float, x: float,
     :class:`ConditionAError` when the kernel is not integrable.
     """
     cfg = cfg or _DEFAULT_QUAD
+    _finite_point(x)
     _condition_a_guard(model, q)
-    r0 = _r0(model, q, cfg)
     if x == 0.0:
-        return r0
-    key = (model, q, abs(x) if model.symmetric else x, cfg)
-    with _cache_lock:
-        if key in _density_cache:
-            return _density_cache[key]
+        return _r0(model, q, cfg)
+    # r_q is even for symmetric models: one entry serves x and -x
+    return _density(model, q, abs(x) if model.symmetric else x, cfg)
+
+
+@functools.lru_cache(maxsize=_DENSITY_CACHE_SIZE)
+def _density(model: LevyModel, q: float, x: float, cfg: QuadratureConfig) -> float:
+    """r_q(x) for x != 0 by weighted Fourier quadrature, escalated when tiny."""
+    r0 = _r0(model, q, cfg)
     a_part, b_part = _kernel_parts(model, q)
     ax = abs(x)
     val = _quad_checked(a_part, 0.0, np.inf, cfg, weight="cos", wvar=ax)
@@ -261,11 +267,9 @@ def resolvent_density(model: LevyModel, q: float, x: float,
     val /= math.pi
     if abs(val) < _ESCALATE_REL * r0:
         # below the float64 cancellation floor of the Fourier sum
-        val = _density_mp(model, q, x)
-    val = max(val, 0.0)
-    with _cache_lock:
-        _density_cache[key] = val
-    return val
+        lost = math.log10(r0 / max(abs(val), 1e-20 * r0))
+        val = _density_mp(model, q, x, min(_MP_DPS, _MP_DIGITS + math.ceil(lost)))
+    return max(val, 0.0)
 
 
 def resolvent_gap(model: LevyModel, q: float, x: float,
@@ -279,6 +283,7 @@ def resolvent_gap(model: LevyModel, q: float, x: float,
     feature near lam = 0 is never skipped.
     """
     cfg = cfg or _DEFAULT_QUAD
+    _finite_point(x)
     _condition_a_guard(model, q)
     if x == 0.0:
         return 0.0
@@ -341,15 +346,15 @@ def zero_resolvent(model: LevyModel, x: float,
     ``10 * stop_tol``; no independent oracle exists for asymmetric
     models, which downstream reports flag.
     """
-    cfg = cfg or _DEFAULT_QUAD
-    ext = ext or _DEFAULT_LIMIT
+    _finite_point(x)
     if x == 0.0:
         return 0.0
-    key = (model, x, cfg, ext)
-    with _cache_lock:
-        if key in _h_cache:
-            return _h_cache[key]
+    return _zero_resolvent(model, x, cfg or _DEFAULT_QUAD, ext or _DEFAULT_LIMIT)
 
+
+@functools.lru_cache(maxsize=_H_CACHE_SIZE)
+def _zero_resolvent(model: LevyModel, x: float, cfg: QuadratureConfig,
+                    ext: ZeroLimitConfig) -> float:
     q = ext.q_start
     prev = None
     val = None
@@ -368,8 +373,6 @@ def zero_resolvent(model: LevyModel, x: float,
         if abs(val - direct) > 10.0 * ext.stop_tol:
             raise CrossCheckError(
                 f"extrapolated limit {val:.10f} vs direct integral {direct:.10f} at x={x}")
-    with _cache_lock:
-        _h_cache[key] = val
     return val
 
 
@@ -401,8 +404,8 @@ def zero_resolvent_fn(model: LevyModel,
 
     Uses the exact closed form for Brownian motion (|x| / sigma^2), the
     self-similar scaling h(x) = h(1) |x|^(alpha-1) for stable models
-    (anchor computed once by the quadrature path), and a memoized
-    pointwise fallback otherwise.  Agreement with :func:`zero_resolvent`
+    (anchor computed once by the quadrature path), and the memoized
+    pointwise :func:`zero_resolvent` otherwise.  Agreement with :func:`zero_resolvent`
     is part of the test suite; Monte Carlo checks rely on this evaluator
     because they evaluate h at every sampled path position.
     """
@@ -421,21 +424,11 @@ def zero_resolvent_fn(model: LevyModel,
             return anchor * np.abs(np.asarray(xs, dtype=float)) ** power
         return fn
 
-    cache: dict = {}
-    lock = threading.Lock()
-
     def fn(xs):
         arr = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.empty_like(arr)
         for i, v in enumerate(arr.ravel()):
-            key = float(v)
-            with lock:
-                got = cache.get(key)
-            if got is None:
-                got = zero_resolvent(model, key, cfg, ext)
-                with lock:
-                    cache[key] = got
-            out.ravel()[i] = got
+            out.ravel()[i] = zero_resolvent(model, float(v), cfg, ext)
         return out if np.ndim(xs) else float(out[0])
 
     return fn

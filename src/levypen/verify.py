@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .models import LevyModel
-from .pathsim import NOT_HIT, MCConfig, PathPlan, path_stream, walk_one
+from .pathsim import MCConfig, PathPlan, path_stream, walk_one
 from .penalization import (UNWEIGHTED, DecayRateEstimate, PenalizationParams,
-                           estimate_decay_rate, local_time_until_either_hit,
-                           local_time_until_hit, martingale_factor,
+                           estimate_decay_rate, inverse_clock_value,
+                           local_time_until_either_hit, local_time_until_hit,
+                           martingale_factor, path_weight,
                            zero_resolvent_cached_fn)
 from .resolvent import resolvent_density
 
@@ -243,41 +245,11 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
 # ---------------------------------------------------------------------------
 # martingale checks
 
-def _weight_points(params: PenalizationParams):
-    return ((params.a, params.lambda_a), (params.b, params.lambda_b))
-
-
-def _weight_from_state(params: PenalizationParams, step: int, lt_map: dict,
-                       hit_map: dict) -> float:
-    """Local-time weight at a recorded state.
-
-    Infinite rates use the hit flags (exact zero-local-time events),
-    finite rates the occupation local times.
-    """
-    w = 1.0
-    for point, lam in _weight_points(params):
-        if lam == 0.0:
-            continue
-        if lam == math.inf:
-            if hit_map[point] <= step:
-                return 0.0
-        else:
-            w *= math.exp(-lam * lt_map[point])
-    return w
-
-
 def _weight_plan_levels(params: PenalizationParams):
-    tracked = tuple(sorted(p for p, lam in _weight_points(params)
-                           if lam > 0 and math.isfinite(lam)))
-    hit = tuple(sorted(p for p, lam in _weight_points(params) if lam == math.inf))
+    """(levels tracked for finite rates, levels detected for infinite rates)."""
+    tracked = tuple(sorted(p for p, lam in params.rates if 0 < lam < math.inf))
+    hit = tuple(sorted(p for p, lam in params.rates if lam == math.inf))
     return tracked, hit
-
-
-def _state_maps(plan: PathPlan, snap):
-    x, lts, hsteps = snap
-    lt_map = {lv: lts[j] for j, lv in enumerate(plan.tracked_levels)}
-    hit_map = {lv: int(hsteps[j]) for j, lv in enumerate(plan.hit_levels)}
-    return x, lt_map, hit_map
 
 
 def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
@@ -312,8 +284,8 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
     for i in range(n):
         rec = walk_one(model, x0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
         for j, s in enumerate(steps):
-            x_t, lt_map, hit_map = _state_maps(plan, rec.snapshots[s])
-            weights[j, i] = _weight_from_state(params, s, lt_map, hit_map)
+            x_t, lts, hsteps = rec.snapshots[s]
+            weights[j, i] = path_weight(params.rates, plan, s, lts, hsteps)
             positions[j, i] = x_t
 
     reports = []
@@ -347,17 +319,15 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     tracked, hit = _weight_plan_levels(params)
     tracked = tuple(sorted(set(tracked) | {c}))
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
-    c_idx = plan.tracked_levels.index(c)
 
     n = mc.n_paths
     vals = np.empty((len(steps), n))
     for i in range(n):
         rec = walk_one(model, x0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
         for j, s in enumerate(steps):
-            snap = rec.snapshots[s]
-            _, lt_map, hit_map = _state_maps(plan, snap)
-            w = _weight_from_state(params, s, lt_map, hit_map)
-            vals[j, i] = math.exp(snap[1][c_idx] * rate.estimate) * w
+            _, lts, hsteps = rec.snapshots[s]
+            vals[j, i] = inverse_clock_value(params.rates, plan, c, rate.estimate, s,
+                                             lts, hsteps)
 
     reports = []
     for j, t in enumerate(t_grid):
@@ -404,8 +374,68 @@ class ClippedIdentity:
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
 
+class _Reference(NamedTuple):
+    """Closed-form martingale a limit check compares against."""
+
+    params: PenalizationParams   # the penalization with the family's tilt
+    start: float                 # its value at x0
+    value: Callable              # (plan, step, snapshot) -> value at the snapshot
+    meta: dict                   # report fields it adds
+
+
+class _ClockFamily:
+    """Behaviour shared by the clock families of the limit check.
+
+    A family is a schedule of clock parameters that drives the clock to
+    infinity.  For one parameter, a clock rings at the first detection
+    of one of its ``hit_levels``, at the inverse local time of its
+    ``lt_clock`` (level, budget), or at a step drawn per path before the
+    walk (``draw_step``).  The reference martingale is the position
+    factor tilted toward ``gamma_eff`` times the weight.
+    """
+
+    def hit_levels(self, param) -> tuple:
+        return ()
+
+    def lt_clock(self, param):
+        return None
+
+    def draw_step(self, rng, param, dt):
+        return None
+
+    def rung(self, rec, param):
+        """(step, local times) at which the clock rang on a walked path, or None."""
+        lt_clock = self.lt_clock(param)
+        if lt_clock is not None:
+            got = rec.crossings.get(lt_clock[1])
+            return None if got is None else (got[0], got[1])
+        states = [rec.hit_states[lv] for lv in self.hit_levels(param) if lv in rec.hit_states]
+        state = min(states, key=lambda st: st[0]) if states else rec.clock_state
+        return None if state is None else (state[0], state[2])
+
+    def reference(self, model, params, x0, mc, rate) -> _Reference:
+        params_eff = replace(params, gamma=self.gamma_eff)
+        h = zero_resolvent_cached_fn(model)
+        m0 = float(martingale_factor(model, params_eff, x0, h=h))
+        if m0 <= 0.0:
+            raise DegenerateStartError(
+                f"limit martingale starts at zero from x0={x0} toward "
+                f"gamma={self.gamma_eff}; the theorem presumes a positive start")
+
+        def value(plan, step, snap):
+            x_t, lts, hsteps = snap
+            return (float(martingale_factor(model, params_eff, x_t, h=h))
+                    * path_weight(params.rates, plan, step, lts, hsteps))
+        return _Reference(params_eff, m0, value, {})
+
+
+def _one_signed_levels(cs) -> bool:
+    return (all(math.isfinite(c) for c in cs) and 0.0 not in cs
+            and len({math.copysign(1.0, c) for c in cs}) == 1)
+
+
 @dataclass(frozen=True)
-class ExponentialClockFamily:
+class ExponentialClockFamily(_ClockFamily):
     """Independent exponential clocks, schedule of rates decreasing to 0."""
 
     qs: tuple
@@ -415,24 +445,44 @@ class ExponentialClockFamily:
         if not all(q > 0 for q in self.qs):
             raise ValueError("clock rates must be positive")
 
+    @property
+    def schedule(self) -> tuple:
+        return tuple(self.qs)
+
+    def meta(self, q) -> dict:
+        return {"family": "exponential", "q": q}
+
+    def draw_step(self, rng, q, dt):
+        return int(rng.exponential(1.0 / q) / dt)
+
 
 @dataclass(frozen=True)
-class HittingClockFamily:
+class HittingClockFamily(_ClockFamily):
     """Hitting clocks T_c along a schedule of same-signed levels, |c| growing."""
 
     cs: tuple
 
     def __post_init__(self):
-        if 0.0 in self.cs or len({math.copysign(1.0, c) for c in self.cs}) != 1:
-            raise ValueError("hitting clock schedule must keep one sign")
+        if not _one_signed_levels(self.cs):
+            raise ValueError("hitting clock levels must be finite, nonzero and one-signed")
 
     @property
     def gamma_eff(self) -> float:
         return math.copysign(1.0, self.cs[0])
 
+    @property
+    def schedule(self) -> tuple:
+        return tuple(self.cs)
+
+    def meta(self, c) -> dict:
+        return {"family": "hitting", "c": c}
+
+    def hit_levels(self, c) -> tuple:
+        return (c,)
+
 
 @dataclass(frozen=True)
-class TwoPointClockFamily:
+class TwoPointClockFamily(_ClockFamily):
     """Two-point clocks T_c ^ T_{-d} along the directed path to infinity.
 
     c = r (1 - gamma) + sqrt(r) and d = r (1 + gamma) + sqrt(r): both
@@ -453,21 +503,33 @@ class TwoPointClockFamily:
     def gamma_eff(self) -> float:
         return self.gamma
 
+    @property
+    def schedule(self) -> tuple:
+        return tuple(self.rs)
+
     def thresholds(self, r: float) -> tuple:
         return (r * (1.0 - self.gamma) + math.sqrt(r),
                 r * (1.0 + self.gamma) + math.sqrt(r))
 
+    def meta(self, r) -> dict:
+        c, d = self.thresholds(r)
+        return {"family": "two-point", "r": r, "gamma": self.gamma, "c": c, "d": d}
+
+    def hit_levels(self, r) -> tuple:
+        c, d = self.thresholds(r)
+        return (c, -d)
+
 
 @dataclass(frozen=True)
-class InverseLocalTimeClockFamily:
+class InverseLocalTimeClockFamily(_ClockFamily):
     """Inverse-local-time clocks eta_u^c at fixed budget u, |c| growing."""
 
     cs: tuple
     u: float = 1.0
 
     def __post_init__(self):
-        if 0.0 in self.cs or len({math.copysign(1.0, c) for c in self.cs}) != 1:
-            raise ValueError("clock level schedule must keep one sign")
+        if not _one_signed_levels(self.cs):
+            raise ValueError("clock levels must be finite, nonzero and one-signed")
         if not self.u > 0:
             raise ValueError("local-time budget must be positive")
 
@@ -475,9 +537,19 @@ class InverseLocalTimeClockFamily:
     def gamma_eff(self) -> float:
         return math.copysign(1.0, self.cs[0])
 
+    @property
+    def schedule(self) -> tuple:
+        return tuple(self.cs)
+
+    def meta(self, c) -> dict:
+        return {"family": "inverse-lt", "c": c, "u": self.u}
+
+    def lt_clock(self, c):
+        return (c, self.u)
+
 
 @dataclass(frozen=True)
-class LocalTimeBudgetClockFamily:
+class LocalTimeBudgetClockFamily(_ClockFamily):
     """Inverse-local-time clocks eta_u^c at fixed level c, budget u growing.
 
     The reference martingale is exp(L_t^c * rate) * weight_t with the
@@ -486,39 +558,34 @@ class LocalTimeBudgetClockFamily:
 
     c: float
     us: tuple
-    gamma_eff = None
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"clock level must be finite, got {self.c}")
         if list(self.us) != sorted(self.us) or not all(u > 0 for u in self.us):
             raise ValueError("budgets must be positive and ascending")
 
+    @property
+    def schedule(self) -> tuple:
+        return tuple(self.us)
 
-def _clock_schedule(family) -> tuple:
-    if isinstance(family, ExponentialClockFamily):
-        return tuple(family.qs)
-    if isinstance(family, HittingClockFamily):
-        return tuple(family.cs)
-    if isinstance(family, TwoPointClockFamily):
-        return tuple(family.rs)
-    if isinstance(family, InverseLocalTimeClockFamily):
-        return tuple(family.cs)
-    if isinstance(family, LocalTimeBudgetClockFamily):
-        return tuple(family.us)
-    raise TypeError(f"unknown clock family {family!r}")
+    def meta(self, u) -> dict:
+        return {"family": "inverse-lt-budget", "c": self.c, "u": u}
 
+    def lt_clock(self, u):
+        return (self.c, u)
 
-def _clock_meta(family, param) -> dict:
-    if isinstance(family, ExponentialClockFamily):
-        return {"family": "exponential", "q": param}
-    if isinstance(family, HittingClockFamily):
-        return {"family": "hitting", "c": param}
-    if isinstance(family, TwoPointClockFamily):
-        c, d = family.thresholds(param)
-        return {"family": "two-point", "r": param, "gamma": family.gamma,
-                "c": c, "d": d}
-    if isinstance(family, InverseLocalTimeClockFamily):
-        return {"family": "inverse-lt", "c": param, "u": family.u}
-    return {"family": "inverse-lt-budget", "c": family.c, "u": param}
+    def reference(self, model, params, x0, mc, rate) -> _Reference:
+        if rate is None:
+            rate = estimate_decay_rate(model, params.a, params.b, self.c,
+                                       params.lambda_a, params.lambda_b, mc)
+
+        def value(plan, step, snap):
+            _, lts, hsteps = snap
+            return inverse_clock_value(params.rates, plan, self.c, rate.estimate, step,
+                                       lts, hsteps)
+        return _Reference(params, 1.0, value,
+                          {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
 
 
 def check_penalization_limit(model: LevyModel, params: PenalizationParams,
@@ -540,32 +607,16 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("limit check needs a genuine weight regime")
-    h = zero_resolvent_cached_fn(model)
-
-    if isinstance(clock_family, LocalTimeBudgetClockFamily):
-        if rate is None:
-            rate = estimate_decay_rate(model, params.a, params.b, clock_family.c,
-                                       params.lambda_a, params.lambda_b, mc)
-        params_eff = params
-        m0 = 1.0
-    else:
-        params_eff = replace(params, gamma=clock_family.gamma_eff)
-        m0 = float(martingale_factor(model, params_eff, x0, h=h))
-        if m0 <= 0.0:
-            raise DegenerateStartError(
-                f"limit martingale starts at zero from x0={x0} toward "
-                f"gamma={clock_family.gamma_eff}; the theorem presumes a "
-                f"positive start")
-
+    ref = clock_family.reference(model, params, x0, mc, rate)
     if t > mc.grid.horizon + 1e-12:
         raise ValueError("the functional time must lie within the horizon")
     t_step = int(round(t / mc.grid.dt))
-    schedule = _clock_schedule(clock_family)
+    schedule = clock_family.schedule
     reports = []
     for k, clock_param in enumerate(schedule):
         lhs_num, lhs_den, rhs, censored = _limit_ensemble(
-            model, params, params_eff, clock_family, clock_param, functional,
-            t_step, x0, mc, h, rate, m0, seed_tag + k)
+            model, params, clock_family, clock_param, functional,
+            t_step, x0, mc, ref, seed_tag + k)
         resolved = lhs_den.sum()
         if resolved == 0:
             raise RuntimeError(
@@ -574,62 +625,38 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
         rhs_mean = rhs.mean()
         stderr = _paired_ratio_stderr(lhs_num, lhs_den, rhs, mc.n_batches)
         te = 0.05 * max(abs(rhs_mean), 0.1) if tol_extra is None else tol_extra
-        meta = _meta(model, mc, params=_params_meta(params_eff),
-                     clock=_clock_meta(clock_family, clock_param),
+        meta = _meta(model, mc, params=_params_meta(ref.params),
+                     clock=clock_family.meta(clock_param),
                      functional=functional.name, t=t, x0=x0,
-                     reference_start=m0,
+                     reference_start=ref.start,
                      survivor_weight=float(resolved),
                      # only the most extreme parameter carries the verdict;
                      # earlier rows chart the approach to the limit
-                     final=(k == len(schedule) - 1))
-        if isinstance(clock_family, LocalTimeBudgetClockFamily):
-            meta["rate_estimate"] = rate.estimate
-            meta["rate_stderr"] = rate.stderr
+                     final=(k == len(schedule) - 1), **ref.meta)
         reports.append(_finish(
             f"limit:{meta['clock']['family']}:{clock_param}", lhs, stderr,
             rhs_mean, te, censored, mc, meta))
     return reports
 
 
-def _limit_ensemble(model, params, params_eff, family, clock_param, functional,
-                    t_step, x0, mc, h, rate, m0, tag):
+def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, mc,
+                    ref, tag):
     """One clock parameter: per-path conditioned weight and reference value."""
-    avoid = tuple(sorted(p for p, lam in _weight_points(params) if lam == math.inf))
-    finite_levels = tuple(sorted(p for p, lam in _weight_points(params)
-                                 if lam > 0 and math.isfinite(lam)))
-
-    tracked = set(finite_levels)
-    clock_hits: tuple = ()
-    lt_level = None
-    lt_thresholds: tuple = ()
-    if isinstance(family, HittingClockFamily):
-        clock_hits = (clock_param,)
-    elif isinstance(family, TwoPointClockFamily):
-        c, d = family.thresholds(clock_param)
-        clock_hits = (c, -d)
-    elif isinstance(family, InverseLocalTimeClockFamily):
-        lt_level, lt_thresholds = clock_param, (family.u,)
-        tracked.add(clock_param)
-    elif isinstance(family, LocalTimeBudgetClockFamily):
-        lt_level, lt_thresholds = family.c, (clock_param,)
-        tracked.add(family.c)
-
-    hit_all = tuple(sorted(set(avoid) | set(clock_hits)))
-    base_plan = dict(
+    finite_levels, avoid = _weight_plan_levels(params)
+    clock_hits = family.hit_levels(clock_param)
+    lt_level, budget = family.lt_clock(clock_param) or (None, None)
+    tracked = set(finite_levels) if lt_level is None else {*finite_levels, lt_level}
+    hit_all = tuple(sorted({*avoid, *clock_hits}))
+    plan = PathPlan(
         tracked_levels=tuple(sorted(tracked)),
         hit_levels=hit_all,
         stop_hit_levels=hit_all,
-        record_hit_levels=tuple(sorted(clock_hits)) if finite_levels else (),
+        record_hit_levels=clock_hits,
         lt_level=lt_level,
-        lt_thresholds=lt_thresholds,
+        lt_thresholds=() if budget is None else (budget,),
         lt_stop=lt_level is not None,
         snapshot_steps=(t_step,),
     )
-    tracked_order = base_plan["tracked_levels"]
-    exponential = isinstance(family, ExponentialClockFamily)
-    budget_family = isinstance(family, LocalTimeBudgetClockFamily)
-    c_idx = tracked_order.index(family.c) if budget_family else -1
-    plan_shared = PathPlan(**base_plan) if not exponential else None
 
     n = mc.n_paths
     lhs_num = np.zeros(n)
@@ -638,60 +665,24 @@ def _limit_ensemble(model, params, params_eff, family, clock_param, functional,
     censored = 0
     for i in range(n):
         rng = path_stream(mc.master_seed, tag, i)
-        if exponential:
-            clock_step_draw = int(rng.exponential(1.0 / clock_param) / mc.grid.dt)
-            plan = PathPlan(**base_plan, clock_step=clock_step_draw)
-        else:
-            plan = plan_shared
-        rec = walk_one(model, x0, mc.grid, plan, rng)
+        clock_step = family.draw_step(rng, clock_param, mc.grid.dt)
+        rec = walk_one(model, x0, mc.grid,
+                       plan if clock_step is None else replace(plan, clock_step=clock_step),
+                       rng)
 
         # reference side: closed-form martingale value at t, all paths
-        x_t, lt_map, hit_map = _state_maps(plan, rec.snapshots[t_step])
-        w_t = _weight_from_state(params, t_step, lt_map, hit_map)
-        f_t = float(functional(x_t))
-        if budget_family:
-            m_t = math.exp(rec.snapshots[t_step][1][c_idx] * rate.estimate) * w_t
-            rhs[i] = f_t * m_t
-        else:
-            m_t = float(martingale_factor(model, params_eff, x_t, h=h)) * w_t
-            rhs[i] = f_t * m_t / m0
+        snap = rec.snapshots[t_step]
+        f_t = float(functional(snap[0]))
+        rhs[i] = f_t * ref.value(plan, t_step, snap) / ref.start
 
         # conditioned side: weight at the clock time
-        if exponential:
-            clock = (None if rec.clock_state is None
-                     else (rec.clock_state[0], rec.clock_state[2]))
-        elif clock_hits:
-            steps = [int(rec.hit_steps[hit_all.index(lv)]) for lv in clock_hits]
-            smin = min(steps)
-            if smin == NOT_HIT:
-                clock = None
-            elif finite_levels:
-                state = rec.hit_states[float(clock_hits[steps.index(smin)])]
-                clock = (smin, state[2])
-            else:
-                clock = (smin, None)
-        else:
-            got = rec.crossings.get(lt_thresholds[0])
-            clock = None if got is None else (got[0], got[1])
-
-        avoid_step = min((int(rec.hit_steps[hit_all.index(p)]) for p in avoid),
-                         default=NOT_HIT)
+        clock = family.rung(rec, clock_param)
         if clock is None:
-            if avoid and avoid_step != NOT_HIT:
-                # an avoid point rang first, so the clock weight vanishes:
-                # the path is resolved with zero weight, not censored
-                lhs_den[i] = 0.0
-            else:
-                censored += 1
+            # a walk stopped before its clock rang was stopped by an avoided
+            # point: it is resolved with zero weight, not censored
+            censored += not rec.stopped
             continue
-        clock_step, clock_lt = clock
-        if avoid_step <= clock_step:
-            lhs_den[i] = 0.0
-            continue
-        w_clock = 1.0
-        for point in finite_levels:
-            lam = params.lambda_a if point == params.a else params.lambda_b
-            w_clock *= math.exp(-lam * clock_lt[tracked_order.index(point)])
+        w_clock = path_weight(params.rates, plan, clock[0], clock[1], rec.hit_steps)
         lhs_num[i] = f_t * w_clock
         lhs_den[i] = w_clock
 

@@ -291,9 +291,9 @@ def test_acceptance_12b_inverse_clock_martingale(decay_rate_estimate):
     The claimed reference process exp(L_t^c rate) * weight has mean
     1 + rate * sqrt(2 t / pi) + O(t) from x0 = c: the exponential of the
     local time at c carries a positive drift no position factor offsets.
-    The measured estimates reproduce that prediction (see the decisions
-    ledger for the full analysis), so this red is a property of the
-    claim, not of the harness.
+    The measured estimates reproduce that prediction (the README's
+    paragraph on this check holds the drift analysis), so this red is a
+    property of the claim, not of the harness.
     """
     est = decay_rate_estimate
     start = time.perf_counter()
@@ -311,8 +311,8 @@ def test_acceptance_12b_inverse_clock_martingale(decay_rate_estimate):
     assert all(r.passed for r in reports), (
         "inverse-clock martingale comparison failed as the drift analysis "
         f"predicts: {detail}; the reference process is not a martingale "
-        "(uncompensated local-time drift at the clock level; see "
-        "notes/decisions.md)")
+        "(uncompensated local-time drift at the clock level; see the "
+        "12b paragraph of README.md)")
 
 
 def test_acceptance_13_integrability_gate():

@@ -90,6 +90,12 @@ def test_table_hitting_prob_at_the_point(config_file, capsys):
     assert float(row.split(",")[4]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_table_non_finite_x_is_config_error(config_file, capsys):
+    code = cli.main(["table", "--config", str(config_file), "--x-grid=nan"])
+    assert code == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
 def test_table_linspace(config_file, capsys):
     code = cli.main(["table", "--config", str(config_file), "--x-linspace=-1,1,5"])
     assert code == 0

@@ -15,31 +15,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from levypen import models, pathsim
-from levypen.pathsim import (ExponentialClock, HittingClock,
-                             InverseLocalTimeClock, PathPlan, SimGrid,
-                             TwoPointHittingClock, first_hitting,
-                             inverse_local_time, path_stream, realize_clock,
-                             simulate_path, walk_one)
+from levypen import models, pathsim, verify
+from levypen.pathsim import NOT_HIT, PathPlan, SimGrid, path_stream, simulate_path, walk_one
 
 BM = models.brownian(1.0)
-ST = models.symmetric_stable(1.5)
 
 
-def make_path(values, dt=1.0, tracked=(), model=None, eps=None):
-    values = np.asarray(values, dtype=float)
-    grid = SimGrid(dt=dt, horizon=dt * (len(values) - 1), eps=eps or math.sqrt(dt) * 5)
-    lts = {}
-    unit = grid.dt / (2 * grid.eps)
-    for lv in tracked:
-        inc = unit * (np.abs(values[:-1] - lv) < grid.eps)
-        lt = np.zeros(len(values))
-        lt[1:] = np.cumsum(inc)
-        lts[lv] = lt
-    return pathsim.Path(model=model, grid=grid, x0=float(values[0]), values=values,
-                        tracked_levels=tuple(tracked), local_times=lts)
+class FixedModel:
+    """Replays a fixed path; the walker sees it as a model.
+
+    ``gaussian`` selects the hit rule.  The Gaussian part is vanishingly
+    small, so the bridge probability never passes its 1e-14 cutoff and
+    only sign changes across a step detect a crossing.
+    """
+
+    gaussian_sigma = 1e-6
+
+    def __init__(self, values, gaussian=True):
+        self.increments = list(np.diff(np.asarray(values, dtype=float)))
+        self.has_gaussian_part = gaussian
+
+    def sample_increments(self, rng, dt, n):
+        out, self.increments = self.increments[:n], self.increments[n:]
+        return np.array(out)
+
+
+def walk_fixed(values, plan, dt=1.0, eps=1.0, gaussian=True):
+    """Walk the path through ``values`` (grid points 0..n) under a plan."""
+    grid = SimGrid(dt=dt, horizon=dt * (len(values) - 1), eps=eps)
+    return walk_one(FixedModel(values, gaussian), float(values[0]), grid, plan,
+                    np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +65,16 @@ def test_simgrid_validation():
         SimGrid(dt=1e-10, horizon=10.0)  # step budget
     with pytest.raises(ValueError):
         SimGrid(dt=-0.1, horizon=1.0)
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       field=st.sampled_from(["dt", "horizon", "eps"]))
+@settings(max_examples=20, deadline=None)
+def test_simgrid_rejects_non_finite(bad, field):
+    fields = {"dt": 1e-3, "horizon": 1.0, "eps": 0.1}
+    fields[field] = bad
+    with pytest.raises(ValueError):
+        SimGrid(**fields)
 
 
 def test_simulate_path_initial_condition_and_determinism():
@@ -77,9 +96,11 @@ def test_local_time_zero_off_window():
 
 def test_local_time_left_endpoint_rule():
     # handmade path: occupation counts the left endpoint of each step
-    path = make_path([0.0, 0.0, 5.0, 0.0], dt=1.0, tracked=(0.0,), eps=1.0)
+    plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(0, 1, 2, 3))
+    rec = walk_fixed([0.0, 0.0, 5.0, 0.0], plan)
     unit = 1.0 / 2.0
-    assert np.allclose(path.local_times[0.0], [0.0, unit, 2 * unit, 2 * unit])
+    lts = [rec.snapshots[s][1][0] for s in (0, 1, 2, 3)]
+    assert np.allclose(lts, [0.0, unit, 2 * unit, 2 * unit])
 
 
 def test_occupation_estimator_brownian_mean():
@@ -117,28 +138,23 @@ def test_occupation_bias_shrinks_under_refinement():
 # hit detection
 
 def test_first_hitting_deterministic_straddle():
-    path = make_path([0.0, 0.4, 1.1], dt=1.0, eps=1.0)
-    assert first_hitting(path, 1.0, 0.05) == pytest.approx(2.0)
-
-
-def test_first_hitting_window_entry():
-    path = make_path([0.0, 0.96, 2.0], dt=1.0, eps=1.0)
-    assert first_hitting(path, 1.0, 0.05) == pytest.approx(1.0)
+    rec = walk_fixed([0.0, 0.4, 1.1], PathPlan(hit_levels=(1.0,)))
+    assert rec.hit_steps[0] == 2
 
 
 def test_first_hitting_absent():
-    path = make_path([0.0, 0.1, -0.2, 0.3], dt=1.0, eps=1.0)
-    assert first_hitting(path, 5.0, 0.05) is None
-    with pytest.raises(ValueError):
-        first_hitting(path, 5.0, -1.0)
+    rec = walk_fixed([0.0, 0.1, -0.2, 0.3], PathPlan(hit_levels=(5.0,)))
+    assert rec.hit_steps[0] == NOT_HIT
 
 
 def test_first_hitting_pure_jump_ignores_straddle():
-    # stable-model paths only detect window entry: a jump across is not a hit
-    path = make_path([0.0, 0.4, 1.1], dt=1.0, eps=1.0, model=ST)
-    assert first_hitting(path, 1.0, 0.05) is None
-    path = make_path([0.0, 1.01, 2.0], dt=1.0, eps=1.0, model=ST)
-    assert first_hitting(path, 1.0, 0.05) == pytest.approx(1.0)
+    # pure-jump models only detect window entry (|X - level| <= eps/2 =
+    # 0.05 here): a jump across is not a hit
+    plan = PathPlan(hit_levels=(1.0,))
+    rec = walk_fixed([0.0, 0.4, 1.1], plan, dt=0.01, eps=0.1, gaussian=False)
+    assert rec.hit_steps[0] == NOT_HIT
+    rec = walk_fixed([0.0, 1.01, 2.0], plan, dt=0.01, eps=0.1, gaussian=False)
+    assert rec.hit_steps[0] == 1
 
 
 def test_hitting_time_laplace_brownian():
@@ -160,12 +176,13 @@ def test_hitting_time_laplace_brownian():
 # inverse local time and clocks
 
 def test_inverse_local_time_examples():
-    path = make_path(np.zeros(6), dt=1.0, tracked=(0.0,), eps=1.0)
     # local time grows every step; the infimum over u=0 is the first step
-    assert inverse_local_time(path, 0.0, 0.0) == pytest.approx(1.0)
-    assert inverse_local_time(path, 0.0, 1e9) is None
+    plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(0.0, 1e9))
+    rec = walk_fixed(np.zeros(6), plan)
+    assert rec.crossings[0.0][0] == 1
+    assert 1e9 not in rec.crossings
     with pytest.raises(ValueError):
-        inverse_local_time(path, 3.0, 0.5)
+        PathPlan(tracked_levels=(0.0,), lt_level=3.0, lt_thresholds=(0.5,))
 
 
 def test_inverse_local_time_laplace_brownian():
@@ -191,46 +208,47 @@ class _StubStream:
     def exponential(self, scale):
         return self.value
 
-    def random(self, n):
-        return np.zeros(n)
-
 
 def test_realize_clock_exponential():
-    path = make_path(np.zeros(4), dt=1.0, eps=1.0)
-    assert realize_clock(path, ExponentialClock(2.0), _StubStream(0.3)) == 0.3
-    assert realize_clock(path, ExponentialClock(2.0), _StubStream(99.0)) is None
+    family = verify.ExponentialClockFamily(qs=(2.0,))
+    assert family.draw_step(_StubStream(0.75), 2.0, 0.25) == 3
+    rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,), clock_step=3))
+    assert family.rung(rec, 2.0)[0] == 3
+    # a clock beyond the horizon does not ring: the path is censored
+    rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,), clock_step=99))
+    assert family.rung(rec, 2.0) is None
     with pytest.raises(ValueError):
-        ExponentialClock(0.0)
+        verify.ExponentialClockFamily(qs=(0.0,))
 
 
 def test_realize_clock_hitting_and_two_point():
-    path = make_path([0.0, -0.4, -1.0, 0.5, 0.7], dt=1.0, eps=1.0,
-                     tracked=(0.7, -1.0))
-    rng = np.random.default_rng(0)
+    values = [0.0, -0.4, -1.0, 0.5, 0.7]
+    levels = (-1.0, -0.75, 0.7, 0.75, 50.0)
+    rec = walk_fixed(values, PathPlan(hit_levels=levels, record_hit_levels=levels))
     # crossing of -1 at step 2, level 0.7 reached at step 4
-    assert realize_clock(path, HittingClock(-1.0), rng, delta=0.05) == pytest.approx(2.0)
-    two = realize_clock(path, TwoPointHittingClock(0.7, 1.0), rng, delta=0.05)
-    assert two == pytest.approx(2.0)
-    assert realize_clock(path, HittingClock(50.0), rng, delta=0.05) is None
-    clock = InverseLocalTimeClock(0.7, 1e9)
-    assert realize_clock(path, clock, rng) is None
-    with pytest.raises(TypeError):
-        realize_clock(path, object(), rng)
+    assert verify.HittingClockFamily(cs=(-1.0,)).rung(rec, -1.0)[0] == 2
+    assert verify.HittingClockFamily(cs=(0.7,)).rung(rec, 0.7)[0] == 4
+    # r = 1/4, gamma = 0: the two-point clock rings at the first of +-0.75
+    two = verify.TwoPointClockFamily(gamma=0.0, rs=(0.25,))
+    assert two.hit_levels(0.25) == (0.75, -0.75)
+    assert two.rung(rec, 0.25)[0] == 2
+    assert verify.HittingClockFamily(cs=(50.0,)).rung(rec, 50.0) is None
+    plan = PathPlan(tracked_levels=(0.7,), lt_level=0.7, lt_thresholds=(1e9,))
+    family = verify.InverseLocalTimeClockFamily(cs=(0.7,), u=1e9)
+    assert family.rung(walk_fixed(values, plan), 0.7) is None
 
 
 def test_clock_ordering_two_point_before_single():
-    # deterministic detection: the two-point clock never rings after the
-    # one-point clock on the same path
+    # the two-point clock never rings after the one-point clock on the
+    # same path: the first level's bridge draws come first in both walks
     grid = SimGrid(dt=1e-3, horizon=8.0)
     for i in range(25):
-        path = simulate_path(BM, 0.0, grid, (), path_stream(21, 8, i))
-        path.model = None  # deterministic straddle detection only
-        single = first_hitting(path, 1.0, grid.delta)
-        pair = [t for t in (first_hitting(path, 1.0, grid.delta),
-                            first_hitting(path, -0.8, grid.delta)) if t is not None]
-        two = min(pair) if pair else None
-        if single is not None and two is not None:
-            assert two <= single
+        single = walk_one(BM, 0.0, grid, PathPlan(hit_levels=(1.0,)),
+                          path_stream(21, 8, i))
+        pair = walk_one(BM, 0.0, grid, PathPlan(hit_levels=(1.0, -0.8)),
+                        path_stream(21, 8, i))
+        assert pair.hit_steps[0] == single.hit_steps[0]
+        assert pair.hit_steps.min() <= single.hit_steps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +285,21 @@ def test_walker_plan_validation():
 
 
 def test_walker_determinism_across_chunk_sizes(monkeypatch):
+    # without hit levels no bridge draw interleaves with the increments, so
+    # a Brownian walk sees the same stream whatever the chunk size; only
+    # the summation order of positions and local times changes
+    grid = SimGrid(dt=1e-3, horizon=3.0)
+    plan = PathPlan(tracked_levels=(0.0, 0.5))
+    whole = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
+    monkeypatch.setattr(pathsim, "_CHUNK", 1000)
+    chunked = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
+    assert chunked.final_step == whole.final_step == grid.n_steps
+    assert abs(chunked.x_final - whole.x_final) < 1e-12
+    assert np.allclose(chunked.local_times, whole.local_times, rtol=0.0, atol=1e-12)
+    assert whole.local_times[0] > 0
+
+
+def test_walker_rerun_is_bit_identical():
     grid = SimGrid(dt=1e-3, horizon=3.0)
     plan = PathPlan(tracked_levels=(0.0,), hit_levels=(1.0,), stop_hit_levels=(1.0,))
     rec_a = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from levypen import models
 from levypen import penalization as pen
-from levypen.pathsim import MCConfig, SimGrid
+from levypen.pathsim import NOT_HIT, MCConfig, PathPlan, SimGrid
 from levypen.resolvent import zero_resolvent
 
 BM = models.brownian(1.0)
@@ -45,8 +45,20 @@ def test_params_rejePcts_invalid():
             params(la=la, lb=lb)
     with pytest.raises(ValueError):
         params(gamma=1.5)
-    with pytest.raises(ValueError):
-        pen.PathState(x=0.0, l_a=-0.1, l_b=0.0)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(bad=NON_FINITE, field=st.sampled_from(["a", "b", "gamma", "la", "lb"]))
+@settings(max_examples=30, deadline=None)
+def test_params_reject_non_finite(bad, field):
+    # a rate may be +inf (avoid the point), never NaN
+    if bad == INF and field == "lb":
+        assert params(lb=bad).regime == pen.SINGLE
+    else:
+        with pytest.raises(ValueError):
+            params(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -195,44 +207,49 @@ def test_factor_tilt_collapse_for_infinite_second_moment():
 # ---------------------------------------------------------------------------
 # weights and martingale values
 
+# weights are read off walked paths: local times ordered as the plan's
+# tracked levels, detection steps as its hit levels
+PLAN = PathPlan(tracked_levels=(0.0, 1.0, 2.0), hit_levels=(0.0, 1.0))
+
+
+def weight(p, l_a, l_b, hit_a=NOT_HIT, hit_b=NOT_HIT, step=10, l_c=0.0):
+    return pen.path_weight(p.rates, PLAN, step, np.array([l_a, l_b, l_c]),
+                           np.array([hit_a, hit_b]))
+
+
 def test_weight_value_regimes():
     p = params(la=1.0, lb=2.0)
-    assert pen.weight_value(p, 0.5, 0.25) == pytest.approx(math.exp(-0.5 - 0.5))
+    assert weight(p, 0.5, 0.25) == pytest.approx(math.exp(-0.5 - 0.5))
     p = params(la=1.0, lb=INF)
-    assert pen.weight_value(p, 0.3, 0.0) == pytest.approx(math.exp(-0.3))
-    assert pen.weight_value(p, 0.3, 1e-12) == 0.0
+    assert weight(p, 0.3, 0.0) == pytest.approx(math.exp(-0.3))
+    assert weight(p, 0.3, 0.0, hit_b=10) == 0.0
+    assert weight(p, 0.3, 0.0, hit_b=11) == pytest.approx(math.exp(-0.3))
     p = params(la=INF, lb=INF)
-    assert pen.weight_value(p, 0.0, 0.0) == 1.0
-    assert pen.weight_value(p, 1e-12, 0.0) == 0.0
-    assert pen.weight_value(params(la=0.0, lb=0.0), 5.0, 7.0) == 1.0
+    assert weight(p, 0.4, 0.4) == 1.0       # infinite rates read detections only
+    assert weight(p, 0.0, 0.0, hit_a=3) == 0.0
+    assert weight(params(la=0.0, lb=0.0), 5.0, 7.0, hit_a=0, hit_b=0) == 1.0
 
 
 def test_martingale_value_examples():
     p = params(la=1.0, lb=INF)
-    state = pen.PathState(x=-1.0, l_a=0.0, l_b=0.0)
-    assert pen.martingale_value(BM, p, state) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    state = pen.PathState(x=-1.0, l_a=0.7, l_b=0.0)
-    assert pen.martingale_value(BM, p, state) == pytest.approx(
-        4.0 / 3.0 * math.exp(-0.7), abs=1e-12)
+    phi = pen.martingale_factor(BM, p, -1.0)
+    assert phi * weight(p, 0.0, 0.0) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert phi * weight(p, 0.7, 0.0) == pytest.approx(4.0 / 3.0 * math.exp(-0.7), abs=1e-12)
     p = params(la=INF, lb=INF)
-    state = pen.PathState(x=-1.0, l_a=0.0, l_b=1e-12)
-    assert pen.martingale_value(BM, p, state) == 0.0
+    assert pen.martingale_factor(BM, p, -1.0) * weight(p, 0.0, 0.0, hit_b=4) == 0.0
 
 
 def test_inverse_clock_martingale_value():
-    zero = params(la=0.0, lb=0.0)
-    assert pen.inverse_clock_martingale_value(0.0, zero, pen.PathState(3.0, 1.0, 2.0, 5.0)) == 1.0
-    p = params(la=1.0, lb=1.0)
-    state = pen.PathState(x=0.0, l_a=1.0, l_b=0.5, l_c=2.0)
-    assert pen.inverse_clock_martingale_value(0.5, p, state) == pytest.approx(
+    def value(rate, p, l_a, l_b, l_c):
+        return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, 10,
+                                       np.array([l_a, l_b, l_c]), np.array([NOT_HIT] * 2))
+
+    assert value(0.0, params(la=0.0, lb=0.0), 1.0, 2.0, 5.0) == 1.0
+    assert value(0.5, params(la=1.0, lb=1.0), 1.0, 0.5, 2.0) == pytest.approx(
         math.exp(-0.5), rel=1e-12)
-    p = params(la=INF, lb=INF)
-    state = pen.PathState(x=0.0, l_a=0.0, l_b=0.0, l_c=2.0)
     for rate in (0.3, 1.1):
-        assert pen.inverse_clock_martingale_value(rate, p, state) == pytest.approx(
+        assert value(rate, params(la=INF, lb=INF), 0.0, 0.0, 2.0) == pytest.approx(
             math.exp(2.0 * rate), rel=1e-12)
-    with pytest.raises(ValueError):
-        pen.inverse_clock_martingale_value(-0.1, p, state)
 
 
 @given(la=st.floats(0.01, 5), lb=st.floats(0.01, 5),
@@ -240,8 +257,7 @@ def test_inverse_clock_martingale_value():
 @settings(max_examples=60, deadline=None)
 def test_weight_value_matches_exponential(la, lb, l_a, l_b):
     p = params(la=la, lb=lb)
-    assert pen.weight_value(p, l_a, l_b) == pytest.approx(
-        math.exp(-la * l_a - lb * l_b), rel=1e-12)
+    assert weight(p, l_a, l_b) == pytest.approx(math.exp(-la * l_a - lb * l_b), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +281,15 @@ def test_decay_rate_monotone_in_rate():
     spread = 3.0 * math.hypot(low.stderr, high.stderr)
     assert high.estimate >= low.estimate - spread
     assert low.estimate > 0
+
+
+def test_decay_rate_finite_rate_reads_its_own_local_time():
+    # a point out of reach keeps zero local time and is never detected, so
+    # a finite and an infinite rate there weigh every path alike
+    mc = _mc(n=200, dt=2e-3, horizon=20.0)
+    finite = pen.estimate_decay_rate(BM, 50.0, 1.0, 0.0, 1.0, INF, mc)
+    avoid = pen.estimate_decay_rate(BM, 50.0, 1.0, 0.0, INF, INF, mc)
+    assert finite.log_means == avoid.log_means
 
 
 def test_decay_rate_requires_distinct_levels():

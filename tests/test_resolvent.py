@@ -14,6 +14,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levypen import models, resolvent
 
@@ -37,6 +39,17 @@ def test_brownian_density_closed_form():
 def test_brownian_density_examples():
     assert resolvent.resolvent_density(BM, 0.5, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-10)
     assert resolvent.resolvent_density(BM, 0.5, 0.0) == pytest.approx(1.0, rel=1e-10)
+
+
+@given(x=st.sampled_from([math.nan, math.inf, -math.inf]),
+       model=st.sampled_from([BM, ST, JD]),
+       fn=st.sampled_from([resolvent.resolvent_density, resolvent.resolvent_gap,
+                           lambda m, q, x: resolvent.zero_resolvent(m, x)]))
+@settings(max_examples=30, deadline=None)
+def test_non_finite_position_rejected(x, model, fn):
+    # a NaN position used to crash the interpreter inside QUADPACK
+    with pytest.raises(ValueError):
+        fn(model, 1.0, x)
 
 
 def test_stable_density_against_mpmath_oracle():

@@ -233,6 +233,13 @@ def test_clock_family_validation():
         verify.InverseLocalTimeClockFamily(cs=(1.0,), u=0.0)
     with pytest.raises(ValueError):
         verify.LocalTimeBudgetClockFamily(c=0.0, us=(2.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify.HittingClockFamily(cs=(bad,))
+        with pytest.raises(ValueError):
+            verify.InverseLocalTimeClockFamily(cs=(1.0, bad))
+        with pytest.raises(ValueError):
+            verify.LocalTimeBudgetClockFamily(c=bad, us=(1.0,))
     fam = verify.TwoPointClockFamily(gamma=-1.0, rs=(50.0,))
     c, d = fam.thresholds(50.0)
     assert c == pytest.approx(100.0 + math.sqrt(50.0))
