@@ -1,10 +1,10 @@
 """Penalization functionals of recurrent Levy processes, verified by Monte Carlo.
 
-The package computes, from numerical Fourier inversion, the objects that
-drive local-time penalization and conditioning to avoid points:
-resolvent densities, the renormalized zero resolvent and its directional
-tilts, expected local times before hits, exit-order probabilities, and
-the martingale factors of the three weight regimes.  A simulation layer
+The package computes the objects that drive local-time penalization and
+conditioning to avoid points: resolvent densities by numerical Fourier
+inversion, the renormalized zero resolvent in closed form and its
+directional tilts, expected local times before hits, exit-order
+probabilities, and the martingale factors of the three weight regimes.  A simulation layer
 with exact increment laws and occupation local times backs a statistical
 harness that checks every closed form against paths.
 """

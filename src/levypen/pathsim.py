@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _MAX_STEPS = 1_000_000_000
+# increments are drawn _CHUNK steps at a time, and the stable and jump-diffusion
+# samplers draw several arrays per chunk (uniforms then exponentials; normals,
+# Poisson counts then jumps), so for those models the path at a fixed seed
+# depends on this value: it is part of the seed contract.  Brownian paths
+# agree across chunk sizes up to summation order.
 _CHUNK = 8192
 NOT_HIT = np.iinfo(np.int64).max
 
@@ -90,6 +95,8 @@ class MCConfig:
     def __post_init__(self):
         if self.n_paths < 100:
             raise ValueError("n_paths must be at least 100")
+        if not (math.isfinite(self.z) and self.z > 0):
+            raise ValueError(f"z must be finite and positive, got {self.z}")
         if not 0 <= self.censor_budget < 1:
             raise ValueError("censor_budget must lie in [0, 1)")
         if self.n_batches < 2 or self.n_paths % self.n_batches:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .models import LevyModel
 from .pathsim import MCConfig, PathPlan, path_stream, walk_one
-from .resolvent import QuadratureConfig, ZeroLimitConfig, zero_resolvent_fn
+from .resolvent import zero_resolvent_fn
 
 __all__ = [
     "PenalizationParams",
@@ -50,7 +50,7 @@ AVOID = "avoid"            # avoidance of both points
 UNWEIGHTED = "unweighted"  # both rates zero; weight identically one
 
 _NEG_CLAMP = 1e-10
-_H_FN_CACHE_SIZE = 64   # evaluators, one per (model, quadrature, limit) config
+_H_FN_CACHE_SIZE = 64   # evaluators, one per model
 
 
 class MCDegenerateError(RuntimeError):
@@ -107,11 +107,9 @@ class PenalizationParams:
 
 
 @functools.lru_cache(maxsize=_H_FN_CACHE_SIZE)
-def zero_resolvent_cached_fn(model: LevyModel,
-                             cfg: QuadratureConfig | None = None,
-                             ext: ZeroLimitConfig | None = None):
+def zero_resolvent_cached_fn(model: LevyModel):
     """Per-model vectorized zero-resolvent evaluator, built once."""
-    return zero_resolvent_fn(model, cfg, ext)
+    return zero_resolvent_fn(model)
 
 
 def _tilted(model: LevyModel, h, gamma: float, x):
@@ -179,7 +177,7 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     Dispatches on the weight regime: the avoidance factor
     h_g(x-a) - P_x(T_b<T_a) h_g(b-a) for (inf, inf), one extra term for
     (finite, inf), and the full six-term expression when both rates are
-    finite.  Nonnegative; tiny quadrature negatives are clamped.
+    finite.  Nonnegative; rounding negatives are clamped.
     Symmetric under swapping the (point, rate) pairs.  Accepts scalar or
     array x.
     """
@@ -209,8 +207,8 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
 
     arr = np.asarray(val, dtype=float)
     worst = float(arr.min(initial=0.0))
-    # exact-form evaluators leave float noise only; a memoized quadrature
-    # evaluator (jump diffusion) carries its stop_tol, hence the wider gate
+    # h is closed form for every model, so a negative here is rounding
+    # noise in a sum of h values; one below the gate is a wrong factor
     if worst < -1e-6:
         raise ArithmeticError(
             f"martingale factor {worst:.3e} below the clamp threshold at a={a}, b={b}")

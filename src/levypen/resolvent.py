@@ -1,9 +1,12 @@
-"""Resolvent densities and the renormalized zero resolvent by Fourier inversion.
+"""Resolvent densities by Fourier inversion and the renormalized zero resolvent.
 
 Everything here reduces to one kernel: R(lam) = 1 / (q + psi(lam)).  The
 resolvent density is its cosine/sine transform, and the renormalized zero
-resolvent is the q -> 0 limit of the transform of the *difference*
-kernel.  Two numerical points carry the module:
+resolvent h is the q -> 0 limit of the transform of the *difference*
+kernel.  Every model in the catalogue has h in closed form, which is what
+:func:`zero_resolvent` returns; the q -> 0 quadrature is kept as the
+tested reference, :func:`zero_resolvent_quad`.  Two numerical points
+carry the quadrature:
 
 * Oscillatory tails are integrated with dedicated Fourier quadrature
   (QUADPACK's QAWF via ``scipy.integrate.quad``), never truncated blindly;
@@ -41,6 +44,7 @@ __all__ = [
     "resolvent_density",
     "resolvent_gap",
     "zero_resolvent",
+    "zero_resolvent_quad",
     "tilted_zero_resolvent",
     "zero_resolvent_fn",
 ]
@@ -333,28 +337,27 @@ def _direct_symmetric_limit(model: LevyModel, x: float, cfg: QuadratureConfig) -
     return (body + flat_tail - cos_tail) / math.pi
 
 
-def zero_resolvent(model: LevyModel, x: float,
-                   cfg: QuadratureConfig | None = None,
-                   ext: ZeroLimitConfig | None = None) -> float:
-    """Renormalized zero resolvent h(x) = lim_{q -> 0+} [r_q(0) - r_q(-x)].
+def zero_resolvent_quad(model: LevyModel, x: float,
+                        cfg: QuadratureConfig | None = None,
+                        ext: ZeroLimitConfig | None = None) -> float:
+    """Zero resolvent h(x) = lim_{q -> 0+} [r_q(0) - r_q(-x)] by quadrature.
 
-    The limit exists and is finite for every model in the catalogue; it
-    is reached along the geometric sequence q_k = q_start * q_ratio^k,
-    stopping when two successive gap values differ by less than
-    ``stop_tol``.  For symmetric models the result is cross-checked
-    against the direct q = 0 integral and must agree within
-    ``10 * stop_tol``; no independent oracle exists for asymmetric
-    models, which downstream reports flag.
+    The reference that the closed forms of :func:`zero_resolvent` are
+    tested against.  The limit is reached along the geometric sequence
+    q_k = q_start * q_ratio^k, stopping when two successive gap values
+    differ by less than ``stop_tol``.  For symmetric models the result
+    is cross-checked against the direct q = 0 integral and must agree
+    within ``10 * stop_tol``.
     """
     _finite_point(x)
     if x == 0.0:
         return 0.0
-    return _zero_resolvent(model, x, cfg or _DEFAULT_QUAD, ext or _DEFAULT_LIMIT)
+    return _zero_resolvent_quad(model, x, cfg or _DEFAULT_QUAD, ext or _DEFAULT_LIMIT)
 
 
 @functools.lru_cache(maxsize=_H_CACHE_SIZE)
-def _zero_resolvent(model: LevyModel, x: float, cfg: QuadratureConfig,
-                    ext: ZeroLimitConfig) -> float:
+def _zero_resolvent_quad(model: LevyModel, x: float, cfg: QuadratureConfig,
+                         ext: ZeroLimitConfig) -> float:
     q = ext.q_start
     prev = None
     val = None
@@ -376,38 +379,29 @@ def _zero_resolvent(model: LevyModel, x: float, cfg: QuadratureConfig,
     return val
 
 
-def tilted_zero_resolvent(model: LevyModel, gamma: float, x: float,
-                          cfg: QuadratureConfig | None = None,
-                          ext: ZeroLimitConfig | None = None) -> float:
-    """Directionally tilted zero resolvent h(x) + gamma * x / m2.
-
-    The tilt vanishes identically when the second moment is infinite.
-    Nonnegative for gamma in [-1, 1]; where the sum is an exact zero
-    (Brownian h(x) = -gamma x / m2) the extrapolated limit leaves noise
-    of the order of stop_tol, clamped to zero within that allowance.
-    """
-    if not -1.0 <= gamma <= 1.0:
-        raise ValueError(f"tilt must lie in [-1, 1], got {gamma}")
-    ext = ext or _DEFAULT_LIMIT
-    val = zero_resolvent(model, x, cfg, ext)
-    if gamma != 0.0 and math.isfinite(model.m2):
-        val = val + gamma * x / model.m2
-    if val < -10.0 * ext.stop_tol:
-        raise QuadratureError(f"tilted zero resolvent {val:.3e} < 0 at x={x}")
-    return max(val, 0.0)
+# the closed form behind zero_resolvent_fn, per model kind, as reports name it
+H_CLOSED_FORM = {
+    "brownian": "closed form |x| / sigma^2",
+    "stable": "closed form |x|^(alpha-1) / (2 Gamma(alpha) sin(pi (alpha-1) / 2))",
+    "jump-diffusion": "closed form by residues at the imaginary roots of Q",
+}
 
 
-def zero_resolvent_fn(model: LevyModel,
-                      cfg: QuadratureConfig | None = None,
-                      ext: ZeroLimitConfig | None = None):
-    """Vectorized evaluator for the zero resolvent of a fixed model.
+def zero_resolvent_fn(model: LevyModel):
+    """Vectorized closed-form zero resolvent h of a fixed model.
 
-    Uses the exact closed form for Brownian motion (|x| / sigma^2), the
-    self-similar scaling h(x) = h(1) |x|^(alpha-1) for stable models
-    (anchor computed once by the quadrature path), and the memoized
-    pointwise :func:`zero_resolvent` otherwise.  Agreement with :func:`zero_resolvent`
-    is part of the test suite; Monte Carlo checks rely on this evaluator
-    because they evaluate h at every sampled path position.
+    * Brownian motion: h(x) = |x| / sigma^2.
+    * Symmetric stable: h(x) = |x|^(alpha-1) / (2 Gamma(alpha) sin(pi (alpha-1) / 2)).
+    * Jump diffusion: psi = lam^2 Q / D with D = (p+ - i lam)(p- + i lam)
+      and Q = sigma^2 D / 2 + rate, so 1/psi is rational and h is the
+      half-residue |x| / m2 of the pole at 0 plus the residue at the
+      root i s of Q on the side where e^{i lam x} decays (Kou & Wang,
+      2003).  s solves s^2 + (p+ - p-) s - (p+ p- + 2 rate / sigma^2) = 0
+      and has the sign of x; ``expm1`` keeps full relative accuracy as
+      x -> 0.
+
+    Accepts a scalar or an array.  :func:`zero_resolvent_quad` is the
+    reference the test suite checks these forms against.
     """
     if model.kind == "brownian":
         inv_var = 1.0 / model.sigma**2
@@ -417,18 +411,59 @@ def zero_resolvent_fn(model: LevyModel,
         return fn
 
     if model.kind == "stable":
-        anchor = zero_resolvent(model, 1.0, cfg, ext)
-        power = model.alpha - 1.0
+        a = model.alpha
+        coef = 1.0 / (2.0 * math.gamma(a) * math.sin(0.5 * math.pi * (a - 1.0)))
 
         def fn(xs):
-            return anchor * np.abs(np.asarray(xs, dtype=float)) ** power
+            return coef * np.abs(np.asarray(xs, dtype=float)) ** (a - 1.0)
         return fn
 
-    def fn(xs):
-        arr = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.empty_like(arr)
-        for i, v in enumerate(arr.ravel()):
-            out.ravel()[i] = zero_resolvent(model, float(v), cfg, ext)
-        return out if np.ndim(xs) else float(out[0])
+    pp, pm, var = model.p_plus, model.p_minus, model.sigma**2
+    c1 = pp - pm
+    c0 = pp * pm + 2.0 * model.jump_rate / var
+    # the two real roots have product -c0 < 0; this form cancels in neither
+    t = -0.5 * (c1 + math.copysign(math.sqrt(c1 * c1 + 4.0 * c0), c1))
+    s_lo, s_hi = sorted((t, -c0 / t))
 
+    def weight(s):
+        # sgn(x) (p+ + s)(p- - s) / (sigma^2 s^2 (p+ - p- + 2 s) / 2), where sgn(x) = sgn(s)
+        w = (pp + s) * (pm - s) / (0.5 * var * s * s * (c1 + 2.0 * s))
+        return w if s > 0 else -w
+
+    w_lo, w_hi = weight(s_lo), weight(s_hi)
+    inv_m2 = 1.0 / model.m2
+
+    def fn(xs):
+        x = np.asarray(xs, dtype=float)
+        pos = x > 0.0
+        return (np.abs(x) * inv_m2
+                + np.where(pos, w_hi, w_lo) * np.expm1(-np.where(pos, s_hi, s_lo) * x))
     return fn
+
+
+def zero_resolvent(model: LevyModel, x: float) -> float:
+    """Renormalized zero resolvent h(x) = lim_{q -> 0+} [r_q(0) - r_q(-x)].
+
+    Closed form for every model in the catalogue; see
+    :func:`zero_resolvent_fn`.
+    """
+    _finite_point(x)
+    return float(zero_resolvent_fn(model)(x))
+
+
+def tilted_zero_resolvent(model: LevyModel, gamma: float, x: float) -> float:
+    """Directionally tilted zero resolvent h(x) + gamma * x / m2.
+
+    The tilt vanishes identically when the second moment is infinite.
+    Nonnegative for gamma in [-1, 1]; where the sum is an exact zero
+    (Brownian h(x) = -gamma x / m2) rounding can leave a negative of a
+    few ulps of |x|, clamped to zero.
+    """
+    if not -1.0 <= gamma <= 1.0:
+        raise ValueError(f"tilt must lie in [-1, 1], got {gamma}")
+    val = zero_resolvent(model, x)
+    if gamma != 0.0 and math.isfinite(model.m2):
+        val = val + gamma * x / model.m2
+    if val < -1e-12 * (1.0 + abs(x)):
+        raise ResolventError(f"tilted zero resolvent {val:.3e} < 0 at x={x}")
+    return max(val, 0.0)

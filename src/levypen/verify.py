@@ -41,7 +41,7 @@ from .penalization import (UNWEIGHTED, DecayRateEstimate, PenalizationParams,
                            local_time_until_either_hit, local_time_until_hit,
                            martingale_factor, path_weight,
                            zero_resolvent_cached_fn)
-from .resolvent import resolvent_density
+from .resolvent import H_CLOSED_FORM, resolvent_density
 
 __all__ = [
     "CheckReport",
@@ -186,8 +186,7 @@ def check_identity_local_time_until_hit(model: LevyModel, a: float, mc: MCConfig
     if tol_extra is None:
         tol_extra = 0.01 * target
     plan = PathPlan(tracked_levels=(0.0,), hit_levels=(a,), stop_hit_levels=(a,))
-    extra = {"a": a, "h_crosscheck": ("direct-integral" if model.symmetric
-                                      else "unavailable (asymmetric model)")}
+    extra = {"a": a, "h_crosscheck": H_CLOSED_FORM[model.kind]}
     return _exposure_identity(model, mc, plan, target, tol_extra,
                               "identity:local-time-until-hit", seed_tag, extra)
 

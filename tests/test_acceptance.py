@@ -56,7 +56,7 @@ def test_acceptance_02_brownian_zero_resolvent_oracle():
     start = time.perf_counter()
     worst = 0.0
     for x in (-3.0, -1.0, 0.5, 2.0):
-        worst = max(worst, abs(resolvent.zero_resolvent(BM, x) - abs(x)))
+        worst = max(worst, abs(resolvent.zero_resolvent_quad(BM, x) - abs(x)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 5.0
     _report(2, ok, f"zero resolvent vs |x|, worst abs {worst:.2e}", "5s", elapsed)
@@ -70,7 +70,7 @@ def test_acceptance_03_two_point_local_time_closed_case():
     want = 2.0 * 1.0 * 2.0 / (1.0 + 2.0)
     ref_h = resolvent.zero_resolvent_fn(BM)
     got_fast = local_time_until_either_hit(BM, 1.0, -2.0, h=ref_h)
-    quad_h = lambda x: resolvent.zero_resolvent(BM, float(x))
+    quad_h = lambda x: resolvent.zero_resolvent_quad(BM, float(x))
     got_quad = local_time_until_either_hit(BM, 1.0, -2.0, h=quad_h)
     sym_equal = (local_time_until_either_hit(BM, 1.0, -2.0)
                  == local_time_until_either_hit(BM, -2.0, 1.0))

@@ -96,6 +96,15 @@ def test_table_non_finite_x_is_config_error(config_file, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_verify_nan_z_is_config_error(tmp_path, capsys):
+    path = tmp_path / "nan_z.ini"
+    path.write_text(BASE_CONFIG.replace("z = 3.0", "z = nan"))
+    code = cli.main(["verify", "--config", str(path), "--suite", "identities",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "z must be" in capsys.readouterr().err
+
+
 def test_table_linspace(config_file, capsys):
     code = cli.main(["table", "--config", str(config_file), "--x-linspace=-1,1,5"])
     assert code == 0

@@ -77,6 +77,16 @@ def test_simgrid_rejects_non_finite(bad, field):
         SimGrid(**fields)
 
 
+@given(z=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+                   st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)))
+@settings(max_examples=20, deadline=None)
+def test_mcconfig_rejects_bad_z(z):
+    # a NaN or non-positive z used to fail every check without saying why
+    grid = SimGrid(dt=1e-3, horizon=1.0)
+    with pytest.raises(ValueError, match="z must be"):
+        pathsim.MCConfig(n_paths=100, master_seed=1, grid=grid, z=z)
+
+
 def test_simulate_path_initial_condition_and_determinism():
     grid = SimGrid(dt=1e-3, horizon=0.5)
     one = simulate_path(BM, 3.0, grid, (0.0,), path_stream(42, 0, 0))

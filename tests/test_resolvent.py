@@ -7,6 +7,8 @@ Brownian closed forms anchor most assertions:
 
 The stable model is checked through self-similarity (h scales like
 |x|^(alpha-1)) and an independent arbitrary-precision quadrature oracle.
+The closed-form h of every model is checked against the q -> 0
+quadrature reference, ``zero_resolvent_quad``.
 """
 
 import math
@@ -94,7 +96,7 @@ def test_gap_matches_density_difference_at_moderate_q():
 def test_gap_monotone_in_q_and_below_limit():
     for model in (BM, ST):
         for x in (0.5, 2.0):
-            h = resolvent.zero_resolvent(model, x)
+            h = resolvent.zero_resolvent_quad(model, x)
             prev = -1.0
             for q in (2.0, 0.5, 0.1, 0.01, 1e-4):
                 cur = resolvent.resolvent_gap(model, q, x)
@@ -110,16 +112,16 @@ def test_zero_resolvent_brownian_absolute_value():
 
 
 def test_zero_resolvent_scaling_of_stable():
-    h1 = resolvent.zero_resolvent(ST, 1.0)
-    h2 = resolvent.zero_resolvent(ST, 2.0)
+    h1 = resolvent.zero_resolvent_quad(ST, 1.0)
+    h2 = resolvent.zero_resolvent_quad(ST, 2.0)
     assert h2 / h1 == pytest.approx(math.sqrt(2.0), abs=1e-4)
 
 
 def test_zero_resolvent_symmetric_models_even():
     for model in (BM, ST):
         for x in (0.4, 1.1, 2.5):
-            assert (resolvent.zero_resolvent(model, x)
-                    == pytest.approx(resolvent.zero_resolvent(model, -x), abs=1e-12))
+            assert (resolvent.zero_resolvent_quad(model, x)
+                    == pytest.approx(resolvent.zero_resolvent_quad(model, -x), abs=1e-12))
 
 
 def test_zero_resolvent_asymmetric_jump_diffusion():
@@ -132,7 +134,7 @@ def test_zero_resolvent_asymmetric_jump_diffusion():
 def test_zero_resolvent_convergence_error():
     tight = resolvent.ZeroLimitConfig(q_start=1.0, q_ratio=0.5, stop_tol=1e-13, max_steps=3)
     with pytest.raises(resolvent.ConvergenceError):
-        resolvent.zero_resolvent(BM, 1.0, ext=tight)
+        resolvent.zero_resolvent_quad(BM, 1.0, ext=tight)
 
 
 def test_tilted_zero_resolvent():
@@ -159,10 +161,29 @@ def test_fast_evaluator_matches_reference():
     for model in (BM, ST, JD):
         fn = resolvent.zero_resolvent_fn(model)
         fast = fn(grid)
-        ref = np.array([resolvent.zero_resolvent(model, float(x)) for x in grid])
+        ref = np.array([resolvent.zero_resolvent_quad(model, float(x)) for x in grid])
         assert np.allclose(fast, ref, atol=2e-6, rtol=0)
     out = resolvent.zero_resolvent_fn(BM)(1.25)
     assert np.ndim(out) == 0 and float(out) == 1.25
+
+
+def test_exact_h_matches_quadrature_reference():
+    # 10 * stop_tol is the program's own cross-check allowance
+    tol = 10 * resolvent.ZeroLimitConfig().stop_tol
+    grid = np.linspace(-3.0, 3.0, 13)
+    for model in (BM, models.symmetric_stable(1.2), ST, JD):
+        for x in grid:
+            exact = resolvent.zero_resolvent(model, float(x))
+            assert abs(exact - resolvent.zero_resolvent_quad(model, float(x))) <= tol
+
+
+def test_jump_diffusion_h_short_range_is_gaussian():
+    # the Gaussian part dominates at short range: h(x) + h(-x) ~ 2|x| / sigma^2
+    for sigma in (1.0, 0.7):
+        model = models.jump_diffusion(sigma, 1.0, 1.0, 2.0)
+        x = 1e-9
+        got = (resolvent.zero_resolvent(model, x) + resolvent.zero_resolvent(model, -x)) / (2 * x)
+        assert got == pytest.approx(1.0 / sigma**2, rel=1e-8)
 
 
 def test_config_validation():

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from levypen import models, verify
+from levypen import models, resolvent, verify
 from levypen.pathsim import MCConfig, SimGrid
 from levypen.penalization import PenalizationParams, estimate_decay_rate
 
@@ -90,15 +90,26 @@ def test_martingale_check_all_regimes():
         verify.check_martingale(BM, p, (5.0,), 2.0, mc)
 
 
+def test_martingale_jump_diffusion_all_regimes():
+    # the asymmetric model, where h(x) != h(-x) and the tilt matters
+    jd = models.jump_diffusion(1.0, 1.0, 1.0, 2.0)
+    mc = MCConfig(n_paths=2000, master_seed=1, grid=SimGrid(dt=1e-3, horizon=0.55))
+    for la, lb in ((1.0, 1.0), (1.0, INF), (INF, INF)):
+        p = PenalizationParams(0.0, 1.0, la, lb)
+        reports = verify.check_martingale(jd, p, (0.1, 0.5), 2.0, mc)
+        for r in reports:
+            assert r.passed, (la, lb, r.name, r.estimate, r.target, r.stderr)
+
+
 def test_identity_hb_jump_diffusion_cross_check():
-    # asymmetric model: the only oracle for h(a) + h(-a) is the path measure
+    # asymmetric model: the path measure checks the residue form of h(a) + h(-a)
     jd = models.jump_diffusion(1.0, 1.0, 1.0, 2.0)
     mc = MCConfig(n_paths=2000, master_seed=13,
                   grid=SimGrid(dt=2.5e-4, horizon=30.0), censor_budget=0.35)
     r = verify.check_identity_local_time_until_hit(jd, 0.8, mc,
                                                    tol_extra=0.05 * 1.2126)
     assert r.passed, r.to_dict()
-    assert r.metadata["h_crosscheck"] == "unavailable (asymmetric model)"
+    assert r.metadata["h_crosscheck"] == resolvent.H_CLOSED_FORM["jump-diffusion"]
 
 
 def test_identity_laplace_short_budget_limit():
