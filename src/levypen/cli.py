@@ -136,10 +136,9 @@ def parse_config(text: str) -> RunConfig:
             lambda_b=_get(cp, "params", "lambda_b", float),
             gamma=_get(cp, "params", "gamma", float, 0.0),
         )
-        dt = _get(cp, "grid", "dt", float)
-        grid = SimGrid(dt=dt,
+        grid = SimGrid(dt=_get(cp, "grid", "dt", float),
                        horizon=_get(cp, "grid", "horizon", float),
-                       eps=_get(cp, "grid", "eps", float, 5.0 * math.sqrt(dt)))
+                       eps=_get(cp, "grid", "eps", float, 0.0))
     except (ValueError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -1,24 +1,35 @@
 """Discretized Levy paths with tracked local times and point-hit detection.
 
-Local time at a level is accumulated by the occupation-window rule
+One stepper (``_chunks``) draws every path: it is the only caller of
+``model.sample_increments``, sums the draws into grid points ``_CHUNK``
+steps at a time, and accrues local time through one function
+(``_local_times``), the occupation-window rule
 ``dL = dt/(2 eps) * 1{|X - level| < eps}`` evaluated at the left endpoint
 of every step, the natural discretisation of the occupation-density
 definition.  Point hitting follows one rule per model (``_detect_hit``):
 exact-in-distribution crossing detection (straddle plus Brownian bridge)
 for models with a Gaussian component, window entry for pure-jump models.
 
-Every statistic is computed by the chunked per-path walker
-(``walk_one`` under a ``PathPlan``), so ensembles never materialize whole
-trajectories.  Every path owns a private stream derived from
-``(master seed, tag, path index)``, which makes results reproducible
-regardless of execution order or sharding.  ``simulate_path`` keeps a
-whole trajectory, for the path dumps of the command line only.
+Every statistic is computed by the walker (``walk_one`` under a
+``PathPlan``), which consumes the stepper's chunks without storing the
+path, so ensembles never materialize whole trajectories.  Every state it
+records -- snapshots, threshold crossings, first detections, the clock
+step and the final state -- is a ``WalkState``.  A walk ends at its
+first armed stop event but never before its last snapshot; a plan with
+no stop rule ends with the chunk that holds its last snapshot; otherwise
+the walk runs to the horizon.  ``simulate_path`` joins the same
+stepper's chunks into a whole trajectory for the path dumps of the
+command line, so a dump is the path the walker walks on the same stream.
+Every path owns a private stream derived from ``(master seed, tag, path
+index)``, which makes results reproducible regardless of execution order
+or sharding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +40,7 @@ __all__ = [
     "MCConfig",
     "simulate_path",
     "PathPlan",
+    "WalkState",
     "walk_one",
     "path_stream",
 ]
@@ -70,6 +82,8 @@ class SimGrid:
             raise ValueError(f"dt={self.dt} must not exceed eps^2={self.eps**2}")
         if self.horizon / self.dt > _MAX_STEPS:
             raise ValueError("step budget horizon/dt exceeds 1e9")
+        if self.n_steps < 1:
+            raise ValueError(f"horizon={self.horizon} spans no step of dt={self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -104,6 +118,49 @@ class MCConfig:
 
 
 # ---------------------------------------------------------------------------
+# the stepper: the one place increments are drawn and local time accrues
+
+def _local_times(left: np.ndarray, levels: tuple, grid: SimGrid) -> np.ndarray:
+    """Local time gained over one chunk, by the occupation-window rule.
+
+    Each step adds dt/(2 eps) 1{|X - level| < eps} at its left endpoint
+    ``left``.  Row j holds the local time at ``levels[j]`` gained from the
+    chunk's first grid point to its grid points 0..n; the local time at
+    point i is the chunk's entry value plus column i.
+    """
+    unit = grid.dt / (2.0 * grid.eps)
+    gain = np.zeros((len(levels), len(left) + 1))
+    for j, lv in enumerate(levels):
+        np.cumsum(unit * (np.abs(left - lv) < grid.eps), out=gain[j, 1:])
+    return gain
+
+
+def _chunks(model: LevyModel, x0: float, grid: SimGrid, levels: tuple,
+            rng: np.random.Generator):
+    """Step a path from x0 to the horizon, ``_CHUNK`` steps at a time.
+
+    Yields ``(g, seg, lt0, gain)`` per chunk: its first global step
+    ``g``, the positions ``seg`` at grid points g..g+n, the local times
+    ``lt0`` at ``levels`` at point g and the local time ``gain`` since
+    then (see ``_local_times``).  A chunk is drawn only when the consumer
+    asks for it, so the consumer's own draws from ``rng`` (bridge
+    crossings) fall between the increments of two chunks.
+    """
+    x, lt0 = x0, np.zeros(len(levels))
+    g = 0
+    while g < grid.n_steps:
+        n = min(_CHUNK, grid.n_steps - g)
+        seg = np.empty(n + 1)
+        seg[0] = x
+        np.cumsum(model.sample_increments(rng, grid.dt, n), out=seg[1:])
+        seg[1:] += x
+        gain = _local_times(seg[:-1], levels, grid)
+        yield g, seg, lt0, gain
+        x, lt0 = seg[-1], lt0 + gain[:, -1]
+        g += n
+
+
+# ---------------------------------------------------------------------------
 # path dumps
 
 @dataclass
@@ -122,22 +179,14 @@ class Path:
 
 def simulate_path(model: LevyModel, x0: float, grid: SimGrid, tracked,
                   stream: np.random.Generator) -> Path:
-    """Simulate one whole path with exact increments and occupation local times."""
-    n = grid.n_steps
+    """One whole path: the chunks the walker steps through, joined."""
     tracked = tuple(sorted(set(float(t) for t in tracked)))
-    values = np.empty(n + 1)
-    values[0] = x0
-    values[1:] = x0 + np.cumsum(model.sample_increments(stream, grid.dt, n))
-    unit = grid.dt / (2.0 * grid.eps)
-    local_times = {}
-    left = values[:-1]
-    for lv in tracked:
-        inc = unit * (np.abs(left - lv) < grid.eps)
-        lt = np.empty(n + 1)
-        lt[0] = 0.0
-        np.cumsum(inc, out=lt[1:])
-        local_times[lv] = lt
-    return Path(grid=grid, values=values, tracked_levels=tracked, local_times=local_times)
+    values, lts = [np.array([x0], dtype=float)], [np.zeros((len(tracked), 1))]
+    for _, seg, lt0, gain in _chunks(model, x0, grid, tracked, stream):
+        values.append(seg[1:])
+        lts.append(lt0[:, None] + gain[:, 1:])
+    return Path(grid=grid, values=np.concatenate(values), tracked_levels=tracked,
+                local_times=dict(zip(tracked, np.concatenate(lts, axis=1))))
 
 
 def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGrid,
@@ -175,22 +224,25 @@ def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGri
 class PathPlan:
     """What a walked path must track, record and stop on.
 
+    The walker records the state at every snapshot step, at each
+    local-time threshold crossing, at the first detection of every hit
+    level and at the personal clock step ``clock_step`` (e.g. an
+    exponential clock drawn per path) when the walk reaches them.
+
     Stops arm when any of three event kinds fires: detection of a level
-    in ``stop_hit_levels``, the last local-time threshold crossing (when
-    ``lt_stop``), or the personal clock step ``clock_step`` (e.g. an
-    exponential clock drawn per path).  The walk halts at the first
-    armed event, but never before the last fixed snapshot step, so
-    snapshots are always taken on the live path.  The state at the clock
-    step is recorded separately whenever the walk reaches it.
+    in ``stop_hit_levels``, the crossing of the last local-time
+    threshold, or the clock step.  The walk halts at the first armed
+    event, but never before the last snapshot step, so snapshots are
+    always taken on the live path.  A plan with none of these stop rules
+    ends with the chunk that holds its last snapshot step, or at the
+    horizon when it takes no snapshot.
     """
 
     tracked_levels: tuple = ()
     hit_levels: tuple = ()
     stop_hit_levels: tuple = ()
-    record_hit_levels: tuple = ()            # record full state at first detection
     lt_level: float | None = None          # level whose local time is thresholded
     lt_thresholds: tuple = ()               # ascending; each crossing is recorded
-    lt_stop: bool = False                    # stop after the last threshold
     snapshot_steps: tuple = ()               # sorted global step indices
     clock_step: int | None = None            # personal clock (records and arms)
 
@@ -199,30 +251,38 @@ class PathPlan:
             raise ValueError("lt_thresholds must be ascending")
         if any(lv not in self.hit_levels for lv in self.stop_hit_levels):
             raise ValueError("stop_hit_levels must be a subset of hit_levels")
-        if any(lv not in self.hit_levels for lv in self.record_hit_levels):
-            raise ValueError("record_hit_levels must be a subset of hit_levels")
         if self.lt_thresholds and (self.lt_level is None
                                    or self.lt_level not in self.tracked_levels):
             raise ValueError("thresholded level must be tracked")
 
 
-@dataclass
-class PathRecord:
-    """Per-path outcome of a walk.
+class WalkState(NamedTuple):
+    """A walked path at one grid step.
 
-    Hit steps later than ``final_step`` mean only "not hit by any step
-    the checks compare against"; detection past the stop is partial.
+    ``local_times`` is ordered as the plan's tracked levels, ``hit_steps``
+    as its hit levels, with NOT_HIT for a level not detected by ``step``.
     """
 
-    final_step: int
-    x_final: float
-    local_times: np.ndarray          # per tracked level, at the final step
-    hit_steps: np.ndarray            # per hit level; NOT_HIT when undetected
-    snapshots: dict = field(default_factory=dict)   # step -> (x, lt copy, hit copy)
-    crossings: dict = field(default_factory=dict)   # threshold -> (step, lt copy, hit copy)
-    hit_states: dict = field(default_factory=dict)  # level -> (step, x, lt copy, hit copy)
-    clock_state: tuple | None = None  # (step, x, lt copy, hit copy) at the clock step
-    stopped: bool = False            # a stop rule fired at or before the horizon
+    step: int
+    x: float
+    local_times: np.ndarray
+    hit_steps: np.ndarray
+
+
+@dataclass
+class PathRecord:
+    """Per-path outcome of a walk: the states it recorded and its last one."""
+
+    final: WalkState
+    stopped: bool                    # a stop rule fired at or before the horizon
+    snapshots: dict                  # step -> state
+    crossings: dict                  # threshold -> state
+    hit_states: dict                 # level -> state at first detection
+    clock_state: WalkState | None    # state at the clock step
+
+    @property
+    def final_step(self) -> int:
+        return self.final.step
 
 
 def path_stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
@@ -234,128 +294,71 @@ def path_stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
 def walk_one(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
              rng: np.random.Generator) -> PathRecord:
     """Walk a single path under a plan, chunk by chunk, never storing it."""
-    dt = grid.dt
-    unit = dt / (2.0 * grid.eps)
     horizon_step = grid.n_steps
     snap_iter = [s for s in plan.snapshot_steps if s <= horizon_step]
     arm_step = snap_iter[-1] if snap_iter else 0
     clock_step = plan.clock_step
-    if clock_step is not None and clock_step > horizon_step:
-        clock_step = None  # clock did not ring within the horizon
+    if clock_step is None or clock_step > horizon_step:
+        clock_step = NOT_HIT  # no clock, or it did not ring within the horizon
+    has_stop_rule = bool(plan.stop_hit_levels or plan.lt_thresholds
+                         or plan.clock_step is not None)
+    end_step = arm_step if snap_iter and not has_stop_rule else horizon_step
 
-    n_track = len(plan.tracked_levels)
-    track = np.array(plan.tracked_levels, dtype=float)
-    hits = np.array(plan.hit_levels, dtype=float)
-    stop_hit = np.array([lv in plan.stop_hit_levels for lv in plan.hit_levels])
+    hits = plan.hit_levels
     lt_idx = (plan.tracked_levels.index(plan.lt_level)
               if plan.lt_level is not None else -1)
 
-    lt = np.zeros(n_track)
     hit_steps = np.full(len(hits), NOT_HIT, dtype=np.int64)
-    rec = PathRecord(final_step=0, x_final=x0, local_times=lt, hit_steps=hit_steps)
+    snapshots, crossings, hit_states, clock_state = {}, {}, {}, None
     pending_thresholds = list(plan.lt_thresholds)
-    earliest_stop: int | None = clock_step
-
-    def state_at(off, x_entry, lt_entry, pos, cums, step):
-        xs = x_entry if off == 0 else pos[off - 1]
-        lts = lt_entry if off == 0 else lt_entry + cums[:, off - 1]
-        hsnap = hit_steps.copy()
-        hsnap[hsnap > step] = NOT_HIT
-        return xs, lts.copy(), hsnap
-
-    x = x0
-    g = 0  # global step at the chunk start
+    earliest_stop = clock_step
     snap_pos = 0
-    while g < horizon_step:
-        n = min(_CHUNK, horizon_step - g)
-        dx = model.sample_increments(rng, dt, n)
-        pos = np.empty(n)
-        np.cumsum(dx, out=pos)
-        pos += x
+
+    def state_at(step):
+        """State at a grid step of the current chunk."""
+        masked = hit_steps.copy()
+        masked[masked > step] = NOT_HIT
+        return WalkState(step, float(seg[step - g]), lt0 + gain[:, step - g], masked)
+
+    for g, seg, lt0, gain in _chunks(model, x0, grid, plan.tracked_levels, rng):
+        n = len(seg) - 1
 
         # hit detection for levels not yet detected
-        seg = np.empty(n + 1)
-        seg[0] = x
-        seg[1:] = pos
         new_hits = []
-        for k in range(len(hits)):
+        for k, level in enumerate(hits):
             if hit_steps[k] != NOT_HIT:
                 continue
-            idx = _detect_hit(seg, hits[k], model, grid, rng)
+            idx = _detect_hit(seg, level, model, grid, rng)
             if idx is not None:
                 hit_steps[k] = g + idx
                 new_hits.append(k)
-
-        # occupation local times (left-endpoint rule), cumulative in-chunk
-        left = seg[:-1]
-        cums = np.empty((n_track, n))
-        for j in range(n_track):
-            np.cumsum(unit * (np.abs(left - track[j]) < grid.eps), out=cums[j])
-
         for k in new_hits:
-            if hits[k] in plan.record_hit_levels:
-                step = int(hit_steps[k])
-                rec.hit_states[float(hits[k])] = (
-                    step, *state_at(step - g, x, lt, pos, cums, step))
+            hit_states[float(hits[k])] = state_at(int(hit_steps[k]))
+            if hits[k] in plan.stop_hit_levels:
+                earliest_stop = min(earliest_stop, int(hit_steps[k]))
 
-        # local-time threshold crossings: L at grid point g+i+1 equals
-        # lt[lt_idx] + cums[lt_idx, i]
+        # local-time threshold crossings; the last one arms a stop
         while pending_thresholds:
-            u = pending_thresholds[0]
-            above = lt[lt_idx] + cums[lt_idx] > u
+            above = lt0[lt_idx] + gain[lt_idx, 1:] > pending_thresholds[0]
             if not above.any():
                 break
-            i = int(np.argmax(above))
-            step = g + i + 1
-            rec.crossings[u] = (step, (lt + cums[:, i]).copy(), hit_steps.copy())
-            pending_thresholds.pop(0)
-            if not pending_thresholds and plan.lt_stop:
-                if earliest_stop is None or step < earliest_stop:
-                    earliest_stop = step
+            step = g + int(np.argmax(above)) + 1
+            crossings[pending_thresholds.pop(0)] = state_at(step)
+            if not pending_thresholds:
+                earliest_stop = min(earliest_stop, step)
 
         # personal clock state, recorded when the walk passes its step
-        if clock_step is not None and rec.clock_state is None and g <= clock_step <= g + n:
-            off = clock_step - g
-            rec.clock_state = (clock_step, *state_at(off, x, lt, pos, cums, clock_step))
-
-        # armed stop events from hits
-        if stop_hit.any():
-            armed = hit_steps[stop_hit]
-            if armed.min() != NOT_HIT:
-                first_armed = int(armed.min())
-                if earliest_stop is None or first_armed < earliest_stop:
-                    earliest_stop = first_armed
-
-        stop_at = None
-        if earliest_stop is not None:
-            stop_at = max(earliest_stop, arm_step)
-            if stop_at > g + n:
-                stop_at = None
+        if clock_state is None and g <= clock_step <= g + n:
+            clock_state = state_at(clock_step)
 
         # snapshots due in this chunk, up to the stop step if any
-        chunk_end = g + n if stop_at is None else stop_at
-        while snap_pos < len(snap_iter) and snap_iter[snap_pos] <= chunk_end:
+        stop_at = max(earliest_stop, arm_step)
+        while snap_pos < len(snap_iter) and snap_iter[snap_pos] <= min(g + n, stop_at):
             s = snap_iter[snap_pos]
-            rec.snapshots[s] = state_at(s - g, x, lt, pos, cums, s)
+            snapshots[s] = state_at(s)
             snap_pos += 1
 
-        if stop_at is not None:
-            xs, lts, _ = state_at(stop_at - g, x, lt, pos, cums, stop_at)
-            rec.final_step = stop_at
-            rec.x_final = xs
-            rec.local_times = lts
-            rec.hit_steps = hit_steps
-            rec.stopped = True
-            return rec
-
-        x = pos[-1]
-        if n_track:
-            lt = lt + cums[:, -1]
-        g += n
-
-    rec.final_step = horizon_step
-    rec.x_final = x
-    rec.local_times = lt
-    rec.hit_steps = hit_steps
-    rec.stopped = False
-    return rec
+        if stop_at <= g + n or g + n >= end_step:
+            break
+    return PathRecord(state_at(min(stop_at, g + n)), stop_at <= g + n,
+                      snapshots, crossings, hit_states, clock_state)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LevyModel
-from .pathsim import MCConfig, PathPlan, path_stream, walk_one
-from .resolvent import zero_resolvent_fn
+from .pathsim import MCConfig, PathPlan, WalkState, path_stream, walk_one
+from .resolvent import tilted_zero_resolvent, zero_resolvent_fn
 
 __all__ = [
     "PenalizationParams",
@@ -112,14 +112,6 @@ def zero_resolvent_cached_fn(model: LevyModel):
     return zero_resolvent_fn(model)
 
 
-def _tilted(model: LevyModel, h, gamma: float, x):
-    """h(x) + gamma x / m2 with the tilt vanishing at infinite m2."""
-    val = h(x)
-    if gamma != 0.0 and math.isfinite(model.m2):
-        val = val + gamma * np.asarray(x, dtype=float) / model.m2
-    return val
-
-
 def local_time_until_hit(model: LevyModel, a: float, h=None) -> float:
     """Expected local time at the origin before hitting a: h(a) + h(-a).
 
@@ -188,22 +180,21 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     la, lb = params.lambda_a, params.lambda_b
     xs = np.asarray(x, dtype=float)
 
-    p_a = prob_hit_before(model, xs, a, b, h=h)   # reaches a first
     p_b = prob_hit_before(model, xs, b, a, h=h)   # reaches b first
-    u = float(_tilted(model, h, g, a - b))
-    v = float(_tilted(model, h, g, b - a))
-    big_b = float(h(a - b) + h(b - a))
-
-    val = _tilted(model, h, g, xs - a) - p_b * v
-    if params.regime == SINGLE:
+    u = tilted_zero_resolvent(model, g, a - b, h=h)
+    v = tilted_zero_resolvent(model, g, b - a, h=h)
+    val = tilted_zero_resolvent(model, g, xs - a, h=h) - p_b * v
+    if params.regime != AVOID:
+        # the regimes with a finite rate at a add the paths that reach a first
+        p_a = prob_hit_before(model, xs, a, b, h=h)
+        big_b = float(h(a - b) + h(b - a))
         val = val + p_a * u / (1.0 + la * big_b)
-    elif params.regime == FINITE:
-        dd = la + lb + la * lb * big_b
-        val = (val
-               + p_a * u / (1.0 + la * big_b)
-               + p_a / (1.0 + la * big_b) * (1.0 + la * v) / dd
-               + p_b * v / (1.0 + lb * big_b)
-               + p_b / (1.0 + lb * big_b) * (1.0 + lb * u) / dd)
+        if params.regime == FINITE:
+            dd = la + lb + la * lb * big_b
+            val = (val
+                   + p_a / (1.0 + la * big_b) * (1.0 + la * v) / dd
+                   + p_b * v / (1.0 + lb * big_b)
+                   + p_b / (1.0 + lb * big_b) * (1.0 + lb * u) / dd)
 
     arr = np.asarray(val, dtype=float)
     worst = float(arr.min(initial=0.0))
@@ -218,30 +209,29 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def path_weight(rates, plan: PathPlan, step: int, local_times, hit_steps) -> float:
-    """Local-time weight exp(-la L^a - lb L^b) of a walked path at a grid step.
+def path_weight(rates, plan: PathPlan, state: WalkState) -> float:
+    """Local-time weight exp(-la L^a - lb L^b) of a walked path in a state.
 
     ``rates`` pairs each point with its rate, as ``PenalizationParams.rates``.
-    A finite rate reads the occupation local time of its point from
-    ``local_times`` (ordered as ``plan.tracked_levels``); an infinite rate
-    is the exact indicator that its point was not detected by ``step``
-    (``hit_steps`` ordered as ``plan.hit_levels``).  Zero rates weigh 1.
+    A finite rate reads the occupation local time of its point from the
+    state; an infinite rate is the exact indicator that its point was not
+    detected by the state's step.  Zero rates weigh 1.
     """
     w = 1.0
     for point, lam in rates:
         if lam == math.inf:
-            if hit_steps[plan.hit_levels.index(point)] <= step:
+            if state.hit_steps[plan.hit_levels.index(point)] <= state.step:
                 return 0.0
         elif lam > 0:
-            w *= math.exp(-lam * local_times[plan.tracked_levels.index(point)])
+            w *= math.exp(-lam * state.local_times[plan.tracked_levels.index(point)])
     return w
 
 
-def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float, step: int,
-                        local_times, hit_steps) -> float:
+def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float,
+                        state: WalkState) -> float:
     """exp(L^c * decay_rate) times the weight: the inverse-clock reference process."""
-    return (math.exp(local_times[plan.tracked_levels.index(c)] * decay_rate)
-            * path_weight(rates, plan, step, local_times, hit_steps))
+    return (math.exp(state.local_times[plan.tracked_levels.index(c)] * decay_rate)
+            * path_weight(rates, plan, state))
 
 
 @dataclass(frozen=True)
@@ -281,12 +271,14 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
         raise ValueError("the two points and the clock level must be distinct")
     if lambda_a < 0 or lambda_b < 0:
         raise ValueError("weight rates must be nonnegative")
+    if not (math.isfinite(u0) and u0 > 0):
+        raise ValueError(f"u0 must be finite and positive, got {u0}")
     u_grid = (0.5 * u0, u0, 2.0 * u0)
     rates = ((a, lambda_a), (b, lambda_b))
     finite = tuple(lv for lv, lam in rates if math.isfinite(lam))
     plan = PathPlan(tracked_levels=tuple(sorted({*finite, c})),
                     hit_levels=tuple(lv for lv, lam in rates if lam == math.inf),
-                    lt_level=c, lt_thresholds=u_grid, lt_stop=True)
+                    lt_level=c, lt_thresholds=u_grid)
 
     n = mc.n_paths
     weights = np.full((3, n), np.nan)
@@ -294,11 +286,8 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
         rng = path_stream(mc.master_seed, seed_tag, i)
         rec = walk_one(model, c, mc.grid, plan, rng)
         for j, u in enumerate(u_grid):
-            got = rec.crossings.get(u)
-            if got is None:
-                continue
-            step, lts, hsteps = got
-            weights[j, i] = path_weight(rates, plan, step, lts, hsteps)
+            if u in rec.crossings:
+                weights[j, i] = path_weight(rates, plan, rec.crossings[u])
 
     present = ~np.isnan(weights)
     survivors = tuple(int(np.nansum(weights[j] > 0)) for j in range(3))

@@ -451,19 +451,27 @@ def zero_resolvent(model: LevyModel, x: float) -> float:
     return float(zero_resolvent_fn(model)(x))
 
 
-def tilted_zero_resolvent(model: LevyModel, gamma: float, x: float) -> float:
+def tilted_zero_resolvent(model: LevyModel, gamma: float, x, h=None):
     """Directionally tilted zero resolvent h(x) + gamma * x / m2.
 
     The tilt vanishes identically when the second moment is infinite.
-    Nonnegative for gamma in [-1, 1]; where the sum is an exact zero
-    (Brownian h(x) = -gamma x / m2) rounding can leave a negative of a
-    few ulps of |x|, clamped to zero.
+    Nonnegative for gamma in [-1, 1]; where the tilted sum is an exact
+    zero (Brownian h(x) = -gamma x / m2) rounding can leave a negative of
+    a few ulps of |x|, clamped to zero; a larger negative raises
+    :class:`ResolventError`.  Accepts a scalar or an array; ``h`` is the
+    model's :func:`zero_resolvent_fn` evaluator when the caller holds one.
     """
     if not -1.0 <= gamma <= 1.0:
         raise ValueError(f"tilt must lie in [-1, 1], got {gamma}")
-    val = zero_resolvent(model, x)
+    xs = np.asarray(x, dtype=float)
+    # math.isfinite keeps the per-path scalar calls of the limit checks cheap
+    if not (math.isfinite(xs) if xs.ndim == 0 else np.isfinite(xs).all()):
+        raise ValueError(f"position must be finite, got {x}")
+    val = (h or zero_resolvent_fn(model))(xs)
     if gamma != 0.0 and math.isfinite(model.m2):
-        val = val + gamma * x / model.m2
-    if val < -1e-12 * (1.0 + abs(x)):
-        raise ResolventError(f"tilted zero resolvent {val:.3e} < 0 at x={x}")
-    return max(val, 0.0)
+        val = val + gamma * xs / model.m2
+        if np.minimum.reduce(val, axis=None, initial=0.0) < 0.0:
+            if np.any(val < -1e-12 * (1.0 + np.abs(xs))):
+                raise ResolventError(f"tilted zero resolvent {val.min():.3e} < 0 at x={x}")
+            val = np.maximum(val, 0.0)
+    return float(val) if val.ndim == 0 else val

@@ -164,7 +164,7 @@ def _exposure_identity(model, mc, plan, target, tol_extra, name, seed_tag, meta_
     death = np.empty(n)
     for i in range(n):
         rec = walk_one(model, 0.0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
-        exposure[i] = rec.local_times[0]
+        exposure[i] = rec.final.local_times[0]
         death[i] = 1.0 if rec.stopped else 0.0
     deaths = death.sum()
     if deaths == 0:
@@ -220,8 +220,7 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
     target = math.exp(-level_budget / resolvent_density(model, q, 0.0))
     if tol_extra is None:
         tol_extra = 0.02 * target
-    plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0,
-                    lt_thresholds=(level_budget,), lt_stop=True)
+    plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(level_budget,))
     n = mc.n_paths
     vals = np.zeros(n)
     censored = 0
@@ -231,7 +230,7 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
         if got is None:
             censored += 1
         else:
-            vals[i] = math.exp(-q * got[0] * mc.grid.dt)
+            vals[i] = math.exp(-q * got.step * mc.grid.dt)
     estimate = vals.mean()
     stderr = _batch_stderr(vals, mc.n_batches)
     meta = _meta(model, mc, q=q, level_budget=level_budget,
@@ -243,6 +242,14 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
 
 # ---------------------------------------------------------------------------
 # martingale checks
+
+def _snapshot_steps(t_grid, grid) -> tuple:
+    """Sorted snapshot times and their grid steps, all within [0, horizon]."""
+    t_grid = tuple(sorted(float(t) for t in t_grid))
+    if not t_grid or t_grid[0] < 0.0 or t_grid[-1] > grid.horizon + 1e-12:
+        raise ValueError("t grid must be nonempty and lie within [0, horizon]")
+    return t_grid, tuple(int(round(t / grid.dt)) for t in t_grid)
+
 
 def _weight_plan_levels(params: PenalizationParams):
     """(levels tracked for finite rates, levels detected for infinite rates)."""
@@ -270,10 +277,7 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
             f"martingale factor vanishes at x0={x0}; pick an admissible start")
     if tol_extra is None:
         tol_extra = 0.03 * target
-    t_grid = tuple(sorted(float(t) for t in t_grid))
-    if t_grid[-1] > mc.grid.horizon + 1e-12:
-        raise ValueError("t grid must lie within the horizon")
-    steps = tuple(int(round(t / mc.grid.dt)) for t in t_grid)
+    t_grid, steps = _snapshot_steps(t_grid, mc.grid)
     tracked, hit = _weight_plan_levels(params)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
 
@@ -283,9 +287,9 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
     for i in range(n):
         rec = walk_one(model, x0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
         for j, s in enumerate(steps):
-            x_t, lts, hsteps = rec.snapshots[s]
-            weights[j, i] = path_weight(params.rates, plan, s, lts, hsteps)
-            positions[j, i] = x_t
+            snap = rec.snapshots[s]
+            weights[j, i] = path_weight(params.rates, plan, snap)
+            positions[j, i] = snap.x
 
     reports = []
     for j, t in enumerate(t_grid):
@@ -310,11 +314,10 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     The decay rate is estimated first (or injected); a failure here
     indicts either that estimate or the martingale identity itself.
     """
+    t_grid, steps = _snapshot_steps(t_grid, mc.grid)
     if rate is None:
         rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc, u0=u0)
     params = PenalizationParams(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
-    t_grid = tuple(sorted(float(t) for t in t_grid))
-    steps = tuple(int(round(t / mc.grid.dt)) for t in t_grid)
     tracked, hit = _weight_plan_levels(params)
     tracked = tuple(sorted(set(tracked) | {c}))
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
@@ -324,9 +327,8 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     for i in range(n):
         rec = walk_one(model, x0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
         for j, s in enumerate(steps):
-            _, lts, hsteps = rec.snapshots[s]
-            vals[j, i] = inverse_clock_value(params.rates, plan, c, rate.estimate, s,
-                                             lts, hsteps)
+            vals[j, i] = inverse_clock_value(params.rates, plan, c, rate.estimate,
+                                             rec.snapshots[s])
 
     reports = []
     for j, t in enumerate(t_grid):
@@ -378,7 +380,7 @@ class _Reference(NamedTuple):
 
     params: PenalizationParams   # the penalization with the family's tilt
     start: float                 # its value at x0
-    value: Callable              # (plan, step, snapshot) -> value at the snapshot
+    value: Callable              # (plan, state) -> value in a walked state
     meta: dict                   # report fields it adds
 
 
@@ -403,14 +405,12 @@ class _ClockFamily:
         return None
 
     def rung(self, rec, param):
-        """(step, local times) at which the clock rang on a walked path, or None."""
+        """State of a walked path when the clock rang, or None."""
         lt_clock = self.lt_clock(param)
         if lt_clock is not None:
-            got = rec.crossings.get(lt_clock[1])
-            return None if got is None else (got[0], got[1])
+            return rec.crossings.get(lt_clock[1])
         states = [rec.hit_states[lv] for lv in self.hit_levels(param) if lv in rec.hit_states]
-        state = min(states, key=lambda st: st[0]) if states else rec.clock_state
-        return None if state is None else (state[0], state[2])
+        return min(states, key=lambda st: st.step) if states else rec.clock_state
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
         params_eff = replace(params, gamma=self.gamma_eff)
@@ -421,10 +421,9 @@ class _ClockFamily:
                 f"limit martingale starts at zero from x0={x0} toward "
                 f"gamma={self.gamma_eff}; the theorem presumes a positive start")
 
-        def value(plan, step, snap):
-            x_t, lts, hsteps = snap
-            return (float(martingale_factor(model, params_eff, x_t, h=h))
-                    * path_weight(params.rates, plan, step, lts, hsteps))
+        def value(plan, state):
+            return (float(martingale_factor(model, params_eff, state.x, h=h))
+                    * path_weight(params.rates, plan, state))
         return _Reference(params_eff, m0, value, {})
 
 
@@ -579,10 +578,8 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
             rate = estimate_decay_rate(model, params.a, params.b, self.c,
                                        params.lambda_a, params.lambda_b, mc)
 
-        def value(plan, step, snap):
-            _, lts, hsteps = snap
-            return inverse_clock_value(params.rates, plan, self.c, rate.estimate, step,
-                                       lts, hsteps)
+        def value(plan, state):
+            return inverse_clock_value(params.rates, plan, self.c, rate.estimate, state)
         return _Reference(params, 1.0, value,
                           {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
 
@@ -650,10 +647,8 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
         tracked_levels=tuple(sorted(tracked)),
         hit_levels=hit_all,
         stop_hit_levels=hit_all,
-        record_hit_levels=clock_hits,
         lt_level=lt_level,
         lt_thresholds=() if budget is None else (budget,),
-        lt_stop=lt_level is not None,
         snapshot_steps=(t_step,),
     )
 
@@ -671,8 +666,8 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
 
         # reference side: closed-form martingale value at t, all paths
         snap = rec.snapshots[t_step]
-        f_t = float(functional(snap[0]))
-        rhs[i] = f_t * ref.value(plan, t_step, snap) / ref.start
+        f_t = float(functional(snap.x))
+        rhs[i] = f_t * ref.value(plan, snap) / ref.start
 
         # conditioned side: weight at the clock time
         clock = family.rung(rec, clock_param)
@@ -681,7 +676,7 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
             # point: it is resolved with zero weight, not censored
             censored += not rec.stopped
             continue
-        w_clock = path_weight(params.rates, plan, clock[0], clock[1], rec.hit_steps)
+        w_clock = path_weight(params.rates, plan, clock)
         lhs_num[i] = f_t * w_clock
         lhs_den[i] = w_clock
 

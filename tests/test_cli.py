@@ -225,6 +225,14 @@ def test_estimate_h_json(config_file, tmp_path, capsys):
     assert doc["estimate"] >= 0.0
 
 
+def test_estimate_h_bad_u0_is_config_error(config_file, tmp_path):
+    out_dir = tmp_path / "est"
+    code = cli.main(["estimate-h", "--config", str(config_file), "--out", str(out_dir),
+                     "--u0", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert not (out_dir / "decay_rate.json").exists()
+
+
 def test_cmd_table_full_precision(config_file):
     cfg = cli.parse_config(BASE_CONFIG)
     buf = io.StringIO()

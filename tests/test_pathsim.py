@@ -65,6 +65,8 @@ def test_simgrid_validation():
         SimGrid(dt=1e-10, horizon=10.0)  # step budget
     with pytest.raises(ValueError):
         SimGrid(dt=-0.1, horizon=1.0)
+    with pytest.raises(ValueError, match="spans no step"):
+        SimGrid(dt=1e-2, horizon=4e-3)  # a walk would record nothing
 
 
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -98,6 +100,23 @@ def test_simulate_path_initial_condition_and_determinism():
     assert not np.array_equal(one.values, other.values)
 
 
+@pytest.mark.parametrize("model", [models.symmetric_stable(1.5),
+                                   models.jump_diffusion(1.0, 1.0, 1.0, 2.0)])
+def test_simulate_path_is_the_walked_path(model):
+    # a dump is the walker's path on the same stream, across chunk borders
+    grid = SimGrid(dt=1e-3, horizon=10.0)
+    assert grid.n_steps > pathsim._CHUNK
+    levels = (0.0, 0.5)
+    path = simulate_path(model, 0.0, grid, levels, path_stream(3, 12, 0))
+    plan = PathPlan(tracked_levels=levels, snapshot_steps=tuple(range(grid.n_steps + 1)))
+    rec = walk_one(model, 0.0, grid, plan, path_stream(3, 12, 0))
+    walked = np.array([rec.snapshots[s].x for s in plan.snapshot_steps])
+    walked_lt = np.array([rec.snapshots[s].local_times for s in plan.snapshot_steps]).T
+    assert np.array_equal(path.values, walked)
+    assert np.array_equal(np.array([path.local_times[lv] for lv in levels]), walked_lt)
+    assert walked_lt[:, -1].min() > 0
+
+
 def test_local_time_zero_off_window():
     grid = SimGrid(dt=1e-3, horizon=0.2)
     path = simulate_path(BM, 0.0, grid, (100.0,), path_stream(1, 0, 0))
@@ -109,7 +128,7 @@ def test_local_time_left_endpoint_rule():
     plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(0, 1, 2, 3))
     rec = walk_fixed([0.0, 0.0, 5.0, 0.0], plan)
     unit = 1.0 / 2.0
-    lts = [rec.snapshots[s][1][0] for s in (0, 1, 2, 3)]
+    lts = [rec.snapshots[s].local_times[0] for s in (0, 1, 2, 3)]
     assert np.allclose(lts, [0.0, unit, 2 * unit, 2 * unit])
 
 
@@ -120,7 +139,7 @@ def test_occupation_estimator_brownian_mean():
     vals = np.empty(n_paths)
     for i in range(n_paths):
         rec = walk_one(BM, 0.0, grid, plan, path_stream(77, 5, i))
-        vals[i] = rec.local_times[0]
+        vals[i] = rec.final.local_times[0]
     target = math.sqrt(2.0 / math.pi)  # int_0^1 p_s(0) ds for the heat kernel
     steps = np.arange(grid.n_steps) * dt
     with np.errstate(divide="ignore"):
@@ -149,12 +168,12 @@ def test_occupation_bias_shrinks_under_refinement():
 
 def test_first_hitting_deterministic_straddle():
     rec = walk_fixed([0.0, 0.4, 1.1], PathPlan(hit_levels=(1.0,)))
-    assert rec.hit_steps[0] == 2
+    assert rec.final.hit_steps[0] == 2
 
 
 def test_first_hitting_absent():
     rec = walk_fixed([0.0, 0.1, -0.2, 0.3], PathPlan(hit_levels=(5.0,)))
-    assert rec.hit_steps[0] == NOT_HIT
+    assert rec.final.hit_steps[0] == NOT_HIT
 
 
 def test_first_hitting_pure_jump_ignores_straddle():
@@ -162,9 +181,9 @@ def test_first_hitting_pure_jump_ignores_straddle():
     # 0.05 here): a jump across is not a hit
     plan = PathPlan(hit_levels=(1.0,))
     rec = walk_fixed([0.0, 0.4, 1.1], plan, dt=0.01, eps=0.1, gaussian=False)
-    assert rec.hit_steps[0] == NOT_HIT
+    assert rec.final.hit_steps[0] == NOT_HIT
     rec = walk_fixed([0.0, 1.01, 2.0], plan, dt=0.01, eps=0.1, gaussian=False)
-    assert rec.hit_steps[0] == 1
+    assert rec.final.hit_steps[0] == 1
 
 
 def test_hitting_time_laplace_brownian():
@@ -189,7 +208,7 @@ def test_inverse_local_time_examples():
     # local time grows every step; the infimum over u=0 is the first step
     plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(0.0, 1e9))
     rec = walk_fixed(np.zeros(6), plan)
-    assert rec.crossings[0.0][0] == 1
+    assert rec.crossings[0.0].step == 1
     assert 1e9 not in rec.crossings
     with pytest.raises(ValueError):
         PathPlan(tracked_levels=(0.0,), lt_level=3.0, lt_thresholds=(0.5,))
@@ -199,13 +218,13 @@ def test_inverse_local_time_laplace_brownian():
     # E[exp(-q eta_u)] = exp(-u sqrt(2q)) for sigma = 1
     q, u, n_paths = 1.0, 0.5, 2000
     grid = SimGrid(dt=2.5e-4, horizon=25.0)
-    plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(u,), lt_stop=True)
+    plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(u,))
     vals = np.zeros(n_paths)
     for i in range(n_paths):
         rec = walk_one(BM, 0.0, grid, plan, path_stream(11, 7, i))
         got = rec.crossings.get(u)
         if got is not None:
-            vals[i] = math.exp(-q * got[0] * grid.dt)
+            vals[i] = math.exp(-q * got.step * grid.dt)
     target = math.exp(-u * math.sqrt(2 * q))
     stderr = vals.std(ddof=1) / math.sqrt(n_paths)
     assert abs(vals.mean() - target) < 3 * stderr + 0.03 * target
@@ -223,7 +242,7 @@ def test_realize_clock_exponential():
     family = verify.ExponentialClockFamily(qs=(2.0,))
     assert family.draw_step(_StubStream(0.75), 2.0, 0.25) == 3
     rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,), clock_step=3))
-    assert family.rung(rec, 2.0)[0] == 3
+    assert family.rung(rec, 2.0).step == 3
     # a clock beyond the horizon does not ring: the path is censored
     rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,), clock_step=99))
     assert family.rung(rec, 2.0) is None
@@ -234,14 +253,14 @@ def test_realize_clock_exponential():
 def test_realize_clock_hitting_and_two_point():
     values = [0.0, -0.4, -1.0, 0.5, 0.7]
     levels = (-1.0, -0.75, 0.7, 0.75, 50.0)
-    rec = walk_fixed(values, PathPlan(hit_levels=levels, record_hit_levels=levels))
+    rec = walk_fixed(values, PathPlan(hit_levels=levels))
     # crossing of -1 at step 2, level 0.7 reached at step 4
-    assert verify.HittingClockFamily(cs=(-1.0,)).rung(rec, -1.0)[0] == 2
-    assert verify.HittingClockFamily(cs=(0.7,)).rung(rec, 0.7)[0] == 4
+    assert verify.HittingClockFamily(cs=(-1.0,)).rung(rec, -1.0).step == 2
+    assert verify.HittingClockFamily(cs=(0.7,)).rung(rec, 0.7).step == 4
     # r = 1/4, gamma = 0: the two-point clock rings at the first of +-0.75
     two = verify.TwoPointClockFamily(gamma=0.0, rs=(0.25,))
     assert two.hit_levels(0.25) == (0.75, -0.75)
-    assert two.rung(rec, 0.25)[0] == 2
+    assert two.rung(rec, 0.25).step == 2
     assert verify.HittingClockFamily(cs=(50.0,)).rung(rec, 50.0) is None
     plan = PathPlan(tracked_levels=(0.7,), lt_level=0.7, lt_thresholds=(1e9,))
     family = verify.InverseLocalTimeClockFamily(cs=(0.7,), u=1e9)
@@ -257,8 +276,8 @@ def test_clock_ordering_two_point_before_single():
                           path_stream(21, 8, i))
         pair = walk_one(BM, 0.0, grid, PathPlan(hit_levels=(1.0, -0.8)),
                         path_stream(21, 8, i))
-        assert pair.hit_steps[0] == single.hit_steps[0]
-        assert pair.hit_steps.min() <= single.hit_steps[0]
+        assert pair.final.hit_steps[0] == single.final.hit_steps[0]
+        assert pair.final.hit_steps.min() <= single.final.hit_steps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +289,7 @@ def test_walker_snapshots_and_clock_state():
                     clock_step=100)
     rec = walk_one(BM, 0.0, grid, plan, path_stream(4, 9, 0))
     assert set(rec.snapshots) == {50, 150}
-    assert rec.clock_state is not None and rec.clock_state[0] == 100
+    assert rec.clock_state is not None and rec.clock_state.step == 100
     # the clock armed the stop but snapshots kept the walk alive to 150
     assert rec.final_step == 150
     assert rec.stopped
@@ -282,7 +301,23 @@ def test_walker_hit_stop_before_snapshot_still_snapshots():
                     snapshot_steps=(2000,))
     rec = walk_one(BM, 0.0, grid, plan, path_stream(4, 10, 1))
     assert 2000 in rec.snapshots
-    assert rec.final_step >= min(int(rec.hit_steps[0]), 2000)
+    assert rec.final_step >= min(int(rec.final.hit_steps[0]), 2000)
+
+
+def test_walk_without_stop_rule_ends_with_its_last_snapshot_chunk():
+    grid = SimGrid(dt=1e-3, horizon=30.0)
+    plan = PathPlan(tracked_levels=(0.0,), hit_levels=(1.0,), snapshot_steps=(500,))
+    rec = walk_one(BM, 0.0, grid, plan, path_stream(4, 12, 0))
+    assert rec.final_step == pathsim._CHUNK and not rec.stopped
+    # the snapshot is the one a walk to the horizon takes
+    full_plan = PathPlan(tracked_levels=(0.0,), hit_levels=(1.0,),
+                         snapshot_steps=(500, grid.n_steps))
+    full = walk_one(BM, 0.0, grid, full_plan, path_stream(4, 12, 0))
+    assert full.final_step == grid.n_steps
+    got, want = rec.snapshots[500], full.snapshots[500]
+    assert got.step == want.step and got.x == want.x
+    assert np.array_equal(got.local_times, want.local_times)
+    assert np.array_equal(got.hit_steps, want.hit_steps)
 
 
 def test_walker_plan_validation():
@@ -304,9 +339,9 @@ def test_walker_determinism_across_chunk_sizes(monkeypatch):
     monkeypatch.setattr(pathsim, "_CHUNK", 1000)
     chunked = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
     assert chunked.final_step == whole.final_step == grid.n_steps
-    assert abs(chunked.x_final - whole.x_final) < 1e-12
-    assert np.allclose(chunked.local_times, whole.local_times, rtol=0.0, atol=1e-12)
-    assert whole.local_times[0] > 0
+    assert abs(chunked.final.x - whole.final.x) < 1e-12
+    assert np.allclose(chunked.final.local_times, whole.final.local_times, rtol=0.0, atol=1e-12)
+    assert whole.final.local_times[0] > 0
 
 
 def test_walker_rerun_is_bit_identical():
@@ -315,6 +350,6 @@ def test_walker_rerun_is_bit_identical():
     rec_a = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
     rec_b = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
     assert rec_a.final_step == rec_b.final_step
-    assert rec_a.x_final == rec_b.x_final
-    assert np.array_equal(rec_a.local_times, rec_b.local_times)
-    assert np.array_equal(rec_a.hit_steps, rec_b.hit_steps)
+    assert rec_a.final.x == rec_b.final.x
+    assert np.array_equal(rec_a.final.local_times, rec_b.final.local_times)
+    assert np.array_equal(rec_a.final.hit_steps, rec_b.final.hit_steps)

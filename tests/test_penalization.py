@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from levypen import models
 from levypen import penalization as pen
-from levypen.pathsim import NOT_HIT, MCConfig, PathPlan, SimGrid
+from levypen.pathsim import NOT_HIT, MCConfig, PathPlan, SimGrid, WalkState
 from levypen.resolvent import zero_resolvent
 
 BM = models.brownian(1.0)
@@ -213,8 +213,8 @@ PLAN = PathPlan(tracked_levels=(0.0, 1.0, 2.0), hit_levels=(0.0, 1.0))
 
 
 def weight(p, l_a, l_b, hit_a=NOT_HIT, hit_b=NOT_HIT, step=10, l_c=0.0):
-    return pen.path_weight(p.rates, PLAN, step, np.array([l_a, l_b, l_c]),
-                           np.array([hit_a, hit_b]))
+    return pen.path_weight(p.rates, PLAN, WalkState(step, 0.0, np.array([l_a, l_b, l_c]),
+                                                    np.array([hit_a, hit_b])))
 
 
 def test_weight_value_regimes():
@@ -241,8 +241,8 @@ def test_martingale_value_examples():
 
 def test_inverse_clock_martingale_value():
     def value(rate, p, l_a, l_b, l_c):
-        return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, 10,
-                                       np.array([l_a, l_b, l_c]), np.array([NOT_HIT] * 2))
+        return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, WalkState(
+            10, 0.0, np.array([l_a, l_b, l_c]), np.array([NOT_HIT] * 2)))
 
     assert value(0.0, params(la=0.0, lb=0.0), 1.0, 2.0, 5.0) == 1.0
     assert value(0.5, params(la=1.0, lb=1.0), 1.0, 0.5, 2.0) == pytest.approx(
@@ -266,6 +266,16 @@ def test_weight_value_matches_exponential(la, lb, l_a, l_b):
 def _mc(n=200, seed=17, dt=2e-3, horizon=20.0):
     return MCConfig(n_paths=n, master_seed=seed, grid=SimGrid(dt=dt, horizon=horizon),
                     censor_budget=0.5, n_batches=50)
+
+
+@given(u0=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+                   st.floats(max_value=0.0, allow_nan=False)))
+@settings(max_examples=20, deadline=None)
+def test_decay_rate_rejects_bad_u0(u0):
+    # u0 = 0 used to write NaN and Infinity into the report, u0 < 0 failed
+    # with an unrelated threshold-order message
+    with pytest.raises(ValueError, match="u0 must be"):
+        pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0, _mc(), u0=u0)
 
 
 def test_decay_rate_zero_weights():

@@ -154,6 +154,10 @@ def test_tilted_nonnegative_on_grid():
         for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
             for x in np.linspace(-3, 3, 13):
                 assert resolvent.tilted_zero_resolvent(model, gamma, float(x)) >= 0.0
+            # arrays follow the scalar values and clamp, point by point
+            grid = np.linspace(-3, 3, 13)
+            scalars = [resolvent.tilted_zero_resolvent(model, gamma, float(x)) for x in grid]
+            assert np.array_equal(resolvent.tilted_zero_resolvent(model, gamma, grid), scalars)
 
 
 def test_fast_evaluator_matches_reference():

@@ -280,6 +280,17 @@ def test_inverse_clock_martingale_runs_and_documents_drift():
         assert r.metadata["rate_estimate"] == rate.estimate
 
 
+def test_martingale_checks_reject_t_outside_the_horizon():
+    # the inverse-clock check used to walk every path, then fail with a KeyError
+    mc = MCConfig(n_paths=100, master_seed=1, grid=SimGrid(dt=1e-3, horizon=0.5))
+    params = PenalizationParams(1.0, 2.0, 1.0, 1.0)
+    for bad in ((0.1, 0.9), (-0.1,), ()):
+        with pytest.raises(ValueError, match="t grid"):
+            verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, 1.0, 1.0, bad, 0.0, mc)
+        with pytest.raises(ValueError, match="t grid"):
+            verify.check_martingale(BM, params, bad, 0.0, mc)
+
+
 def test_inverse_clock_martingale_trivial_weight():
     mc = MCConfig(n_paths=500, master_seed=10, grid=SimGrid(dt=1e-3, horizon=10.0),
                   censor_budget=0.5)
