@@ -78,6 +78,13 @@ class LevyModel:
         return self.sigma > 0.0
 
     @property
+    def continuous_paths(self) -> bool:
+        """No jump part: a path cannot pass a point without hitting it."""
+        if self.kind == STABLE:
+            return self.alpha == 2.0
+        return self.jump_rate == 0.0
+
+    @property
     def gaussian_sigma(self) -> float:
         """Volatility of the Gaussian component (for bridge corrections)."""
         if self.kind == STABLE:

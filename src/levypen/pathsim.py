@@ -9,6 +9,11 @@ of every step, the natural discretisation of the occupation-density
 definition.  Point hitting follows one rule per model (``_detect_hit``):
 exact-in-distribution crossing detection (straddle plus Brownian bridge)
 for models with a Gaussian component, window entry for pure-jump models.
+The bridge rule draws only where its crossing probability exceeds 1e-14,
+which needs d0 d1 < 16.118 sigma^2 dt for endpoint distances d0, d1; it
+evaluates probabilities only on the band d0 d1 < 16.2 sigma^2 dt, a
+superset, so a step far from the level costs a difference, a product and
+a comparison.
 
 Every statistic is computed by the walker (``walk_one`` under a
 ``PathPlan``), which consumes the stepper's chunks without storing the
@@ -53,6 +58,12 @@ _MAX_STEPS = 1_000_000_000
 # agree across chunk sizes up to summation order.
 _CHUNK = 8192
 NOT_HIT = np.iinfo(np.int64).max
+# a same-side Gaussian step draws a uniform only when its bridge crossing
+# probability exceeds _BRIDGE_P_MIN, i.e. when d0 d1 < -log(_BRIDGE_P_MIN)/2
+# sigma^2 dt = 16.118 sigma^2 dt; the band bound rounds that up, so the band
+# holds every step that can draw and the cutoff test inside it decides
+_BRIDGE_P_MIN = 1e-14
+_BRIDGE_BAND = 16.2
 
 
 @dataclass(frozen=True)
@@ -197,24 +208,34 @@ def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGri
     level when its endpoints straddle it or, for a same-side step, with
     the Brownian-bridge crossing probability exp(-2 d0 d1 / (sigma^2 dt));
     this makes the first-crossing time exact in distribution, detected at
-    the right endpoint of the step.  Pure-jump models detect entry of a
-    grid point into the window |X - level| <= delta, the honest event
-    under overshoot: a step straddling the level usually jumped over it.
+    the right endpoint of the step.  A same-side step draws a uniform
+    only when that probability exceeds ``_BRIDGE_P_MIN`` (1e-14), which
+    needs d0 d1 < 16.118 sigma^2 dt.  So the exponential and the cutoff
+    test run only on the band d0 d1 < ``_BRIDGE_BAND`` sigma^2 dt (16.2,
+    a superset), which also holds every straddle; the same steps draw
+    the same uniforms in the same order as a test over the whole chunk.
+    Pure-jump models detect entry of a grid point into the window
+    |X - level| <= delta, the honest event under overshoot: a step
+    straddling the level usually jumped over it.
     """
     d = values - level
     if not model.has_gaussian_part:
         win = np.abs(d[:-1]) <= grid.delta
         return int(np.argmax(win)) if win.any() else None
     prod = d[:-1] * d[1:]
-    cand = prod <= 0.0
-    p = np.exp(-2.0 * np.maximum(prod, 0.0) / (model.gaussian_sigma**2 * grid.dt))
-    same = ~cand & (p > 1e-14)
-    if same.any():
-        u = rng.random(int(same.sum()))
-        fire = np.zeros(len(prod), bool)
-        fire[same] = u < p[same]
-        cand |= fire
-    return int(np.argmax(cand)) + 1 if cand.any() else None
+    scale = model.gaussian_sigma**2 * grid.dt
+    near = np.flatnonzero(prod < _BRIDGE_BAND * scale)
+    if not len(near):
+        return None
+    prod = prod[near]
+    hit = prod <= 0.0                      # straddles
+    p = np.exp(-2.0 * prod[~hit] / scale)  # same-side steps in the band
+    drawn = p > _BRIDGE_P_MIN
+    if drawn.any():
+        fire = np.zeros(len(p), bool)
+        fire[drawn] = rng.random(int(drawn.sum())) < p[drawn]
+        hit[~hit] = fire
+    return int(near[np.argmax(hit)]) + 1 if hit.any() else None
 
 
 # ---------------------------------------------------------------------------

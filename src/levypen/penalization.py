@@ -152,15 +152,19 @@ def prob_hit_before(model: LevyModel, x, a: float, b: float, h=None):
     if a == b:
         raise ValueError("points must be distinct")
     h = h or zero_resolvent_cached_fn(model)
-    denom = float(h(a - b) + h(b - a))
-    raw = (float(h(b - a)) + h(np.asarray(x, dtype=float) - b) - h(np.asarray(x, dtype=float) - a)) / denom
+    xs = np.asarray(x, dtype=float)
+    return _exit_first(float(h(b - a)), h(xs - b), h(xs - a),
+                       float(h(a - b) + h(b - a)), a, b, np.ndim(x) == 0)
+
+
+def _exit_first(h_ba, h_xb, h_xa, denom, a, b, scalar):
+    """P_x(T_a < T_b) from the h values of ``prob_hit_before``, clamped to [0, 1]."""
+    raw = (h_ba + h_xb - h_xa) / denom
     clipped = np.clip(raw, 0.0, 1.0)
     overshoot = float(np.max(np.abs(np.asarray(raw) - np.asarray(clipped)), initial=0.0))
     if overshoot > 1e-8:
         log.warning("exit-order probability clamped by %.3e at a=%s b=%s", overshoot, a, b)
-    if np.ndim(x) == 0:
-        return float(clipped)
-    return clipped
+    return float(clipped) if scalar else clipped
 
 
 def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
@@ -171,7 +175,7 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     (finite, inf), and the full six-term expression when both rates are
     finite.  Nonnegative; rounding negatives are clamped.
     Symmetric under swapping the (point, rate) pairs.  Accepts scalar or
-    array x.
+    array x; an array gives the scalar values bit for bit.
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("position factor undefined for the unit weight")
@@ -179,15 +183,20 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     a, b, g = params.a, params.b, params.gamma
     la, lb = params.lambda_a, params.lambda_b
     xs = np.asarray(x, dtype=float)
+    scalar = np.ndim(x) == 0
 
-    p_b = prob_hit_before(model, xs, b, a, h=h)   # reaches b first
+    # both exit probabilities from one set of h values; h(b-a) + h(a-b)
+    # and h(a-b) + h(b-a) are the same IEEE sum
+    h_ab, h_ba = h(a - b), h(b - a)
+    h_xa, h_xb = h(xs - a), h(xs - b)
+    big_b = float(h_ab + h_ba)
+    p_b = _exit_first(float(h_ab), h_xa, h_xb, big_b, b, a, scalar)   # reaches b first
     u = tilted_zero_resolvent(model, g, a - b, h=h)
     v = tilted_zero_resolvent(model, g, b - a, h=h)
     val = tilted_zero_resolvent(model, g, xs - a, h=h) - p_b * v
     if params.regime != AVOID:
         # the regimes with a finite rate at a add the paths that reach a first
-        p_a = prob_hit_before(model, xs, a, b, h=h)
-        big_b = float(h(a - b) + h(b - a))
+        p_a = _exit_first(float(h_ba), h_xb, h_xa, big_b, a, b, scalar)
         val = val + p_a * u / (1.0 + la * big_b)
         if params.regime == FINITE:
             dd = la + lb + la * lb * big_b
@@ -206,7 +215,7 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     if worst < -_NEG_CLAMP:
         log.warning("clamped martingale factor noise %.3e at a=%s b=%s", worst, a, b)
     out = np.maximum(arr, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if scalar else out
 
 
 def path_weight(rates, plan: PathPlan, state: WalkState) -> float:
@@ -217,6 +226,8 @@ def path_weight(rates, plan: PathPlan, state: WalkState) -> float:
     state; an infinite rate is the exact indicator that its point was not
     detected by the state's step.  Zero rates weigh 1.
     """
+    # scalar math.exp on purpose: np.exp differs from it in the last bit on
+    # some inputs (SIMD builds), and reports are pinned to these bits
     w = 1.0
     for point, lam in rates:
         if lam == math.inf:
@@ -230,6 +241,7 @@ def path_weight(rates, plan: PathPlan, state: WalkState) -> float:
 def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float,
                         state: WalkState) -> float:
     """exp(L^c * decay_rate) times the weight: the inverse-clock reference process."""
+    # scalar math.exp on purpose, as in path_weight
     return (math.exp(state.local_times[plan.tracked_levels.index(c)] * decay_rate)
             * path_weight(rates, plan, state))
 

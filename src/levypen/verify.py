@@ -380,7 +380,7 @@ class _Reference(NamedTuple):
 
     params: PenalizationParams   # the penalization with the family's tilt
     start: float                 # its value at x0
-    value: Callable              # (plan, state) -> value in a walked state
+    value: Callable              # (plan, states) -> its values in walked states
     meta: dict                   # report fields it adds
 
 
@@ -421,9 +421,11 @@ class _ClockFamily:
                 f"limit martingale starts at zero from x0={x0} toward "
                 f"gamma={self.gamma_eff}; the theorem presumes a positive start")
 
-        def value(plan, state):
-            return (float(martingale_factor(model, params_eff, state.x, h=h))
-                    * path_weight(params.rates, plan, state))
+        def value(plan, states):
+            # one factor call on every position; the weights stay scalar
+            xs = np.array([st.x for st in states])
+            weights = np.array([path_weight(params.rates, plan, st) for st in states])
+            return martingale_factor(model, params_eff, xs, h=h) * weights
         return _Reference(params_eff, m0, value, {})
 
 
@@ -552,6 +554,9 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
 
     The reference martingale is exp(L_t^c * rate) * weight_t with the
     Monte Carlo decay-rate estimate; no directional tilt is involved.
+    For a model with continuous paths, an avoided point strictly between
+    x0 and c leaves no path a positive weight at the clock, and the set-up
+    is rejected with :class:`DegenerateStartError` before any walk.
     """
 
     c: float
@@ -574,12 +579,19 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
         return (self.c, u)
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
+        if model.continuous_paths:
+            for point, lam in params.rates:
+                if lam == math.inf and min(x0, self.c) < point < max(x0, self.c):
+                    raise DegenerateStartError(
+                        f"avoided point {point} lies between x0={x0} and the clock "
+                        f"level c={self.c}: every path hits it before the clock rings")
         if rate is None:
             rate = estimate_decay_rate(model, params.a, params.b, self.c,
                                        params.lambda_a, params.lambda_b, mc)
 
-        def value(plan, state):
-            return inverse_clock_value(params.rates, plan, self.c, rate.estimate, state)
+        def value(plan, states):
+            return np.array([inverse_clock_value(params.rates, plan, self.c,
+                                                 rate.estimate, st) for st in states])
         return _Reference(params, 1.0, value,
                           {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
 
@@ -655,7 +667,8 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
     n = mc.n_paths
     lhs_num = np.zeros(n)
     lhs_den = np.zeros(n)
-    rhs = np.empty(n)
+    f_t = np.empty(n)
+    snaps = []
     censored = 0
     for i in range(n):
         rng = path_stream(mc.master_seed, tag, i)
@@ -664,10 +677,9 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
                        plan if clock_step is None else replace(plan, clock_step=clock_step),
                        rng)
 
-        # reference side: closed-form martingale value at t, all paths
-        snap = rec.snapshots[t_step]
-        f_t = float(functional(snap.x))
-        rhs[i] = f_t * ref.value(plan, snap) / ref.start
+        # reference side, evaluated on all paths after the walks
+        snaps.append(rec.snapshots[t_step])
+        f_t[i] = float(functional(snaps[-1].x))
 
         # conditioned side: weight at the clock time
         clock = family.rung(rec, clock_param)
@@ -677,9 +689,11 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
             censored += not rec.stopped
             continue
         w_clock = path_weight(params.rates, plan, clock)
-        lhs_num[i] = f_t * w_clock
+        lhs_num[i] = f_t[i] * w_clock
         lhs_den[i] = w_clock
 
+    # closed-form martingale value at t over the reference's start value
+    rhs = f_t * ref.value(plan, snaps) / ref.start
     return lhs_num, lhs_den, rhs, censored / n
 
 

@@ -186,6 +186,55 @@ def test_first_hitting_pure_jump_ignores_straddle():
     assert rec.final.hit_steps[0] == 1
 
 
+def _detect_hit_whole_chunk(values, level, model, grid, rng):
+    """The detection rule evaluated on every step of the chunk: the reference."""
+    d = values - level
+    if not model.has_gaussian_part:
+        win = np.abs(d[:-1]) <= grid.delta
+        return int(np.argmax(win)) if win.any() else None
+    prod = d[:-1] * d[1:]
+    cand = prod <= 0.0
+    p = np.exp(-2.0 * np.maximum(prod, 0.0) / (model.gaussian_sigma**2 * grid.dt))
+    same = ~cand & (p > 1e-14)
+    if same.any():
+        u = rng.random(int(same.sum()))
+        fire = np.zeros(len(prod), bool)
+        fire[same] = u < p[same]
+        cand |= fire
+    return int(np.argmax(cand)) + 1 if cand.any() else None
+
+
+@pytest.mark.parametrize("model", [
+    models.brownian(0.7), BM, models.jump_diffusion(1.0, 1.0, 1.0, 2.0),
+    models.symmetric_stable(1.5)], ids=("bm-0.7", "bm", "jump-diffusion", "stable"))
+def test_band_detection_equals_the_whole_chunk_rule(model):
+    # the band rule evaluates bridge probabilities only where
+    # d0 d1 < 16.2 sigma^2 dt; it must give the same index and draw the same
+    # uniforms, which equal generator states after the call show
+    grid = SimGrid(dt=1e-3, horizon=10.0)
+    gen = np.random.default_rng(11)
+    scale = (model.gaussian_sigma or 1.0)**2 * grid.dt
+    drew = 0
+    for trial in range(240):
+        n = int(gen.integers(2, 3000))
+        values = np.cumsum(np.r_[0.0, model.sample_increments(gen, grid.dt, n)])
+        kind = trial % 3
+        if kind == 0:    # straddled
+            level = float(values[gen.integers(len(values))] + 0.01 * gen.normal())
+        elif kind == 1:  # the top steps sit at the edge of the cutoff and the band
+            level = float(values.max() + math.sqrt(gen.uniform(15.5, 16.5) * scale))
+        else:            # far away
+            level = float(values.max() + gen.uniform(0.5, 5.0))
+        seed = int(gen.integers(2**32))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _detect_hit_whole_chunk(values, level, model, grid, want_rng)
+        assert pathsim._detect_hit(values, level, model, grid, got_rng) == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        drew += got_rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+    # the bridge rule drew uniforms on some chunks and none on others
+    assert (0 < drew < 240) == model.has_gaussian_part
+
+
 def test_hitting_time_laplace_brownian():
     # E[exp(-q T_1)] = exp(-sqrt(2q)); bridge detection is exact, bias O(dt)
     q, n_paths = 0.5, 3000

@@ -153,6 +153,20 @@ def test_factor_nonnegative_grids():
                 assert (np.asarray(vals) >= 0.0).all()
 
 
+@pytest.mark.parametrize("model", [BM, ST, JD], ids=("bm", "stable", "jump-diffusion"))
+def test_factor_array_equals_scalar_calls(model):
+    # the limit checks evaluate the reference factor on all paths at once
+    # and promise the reports of one call per path, bit for bit
+    grid = np.r_[np.linspace(-4.0, 4.0, 41), -0.3, 0.999, 1.0, 1.7, 2.0, 2.5]
+    for la, lb in ((1.0, 1.0), (1.0, INF), (INF, INF)):
+        for gamma in (-1.0, 0.0, 0.5, 1.0):
+            for a, b in ((0.0, 1.0), (1.0, -0.5)):
+                p = params(a=a, b=b, la=la, lb=lb, gamma=gamma)
+                got = pen.martingale_factor(model, p, grid)
+                want = [pen.martingale_factor(model, p, float(x)) for x in grid]
+                assert got.tobytes() == np.array(want).tobytes(), (la, lb, gamma, a, b)
+
+
 def test_factor_pair_swap_symmetry():
     rng = np.random.default_rng(3)
     for model in (BM, ST):

@@ -312,3 +312,20 @@ def test_budget_clock_family_lhs_normalization():
     for r in reports:
         assert r.estimate == 1.0
         assert r.metadata["rate_estimate"] == rate.estimate
+
+
+@pytest.mark.parametrize("model", [BM, models.symmetric_stable(2.0)], ids=("bm", "stable-2"))
+@pytest.mark.parametrize("la", [1.0, INF])
+def test_budget_clock_rejects_an_avoided_point_before_the_level(model, la, monkeypatch):
+    # from x0 = 2 a continuous path reaches c = -1 only through the avoided
+    # point b = 1, so no path rings the clock with a positive weight; the
+    # set-up is rejected before the decay-rate estimate and the walks
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a path")
+    monkeypatch.setattr(verify, "walk_one", no_walk)
+    monkeypatch.setattr(verify, "estimate_decay_rate", no_walk)
+    p = PenalizationParams(0.0, 1.0, la, INF)
+    fam = verify.LocalTimeBudgetClockFamily(c=-1.0, us=(0.5, 1.0))
+    with pytest.raises(verify.DegenerateStartError, match=r"avoided point [01]\.0 lies"):
+        verify.check_penalization_limit(model, p, fam, verify.IndicatorAbove(2.0), 0.25,
+                                        2.0, mc_small(n=100, dt=4e-3, horizon=60.0))
