@@ -1,42 +1,53 @@
 """Discretized Levy paths with tracked local times and point-hit detection.
 
-One stepper (``_chunks``) draws every path: it is the only caller of
-``model.sample_increments``, sums the draws into grid points ``_CHUNK``
-steps at a time, and accrues local time through one function
-(``_local_times``), the occupation-window rule
+One stepper (``_step``) draws every path: it is the only caller of
+``model.sample_increments``.  It steps a block of paths ``_CHUNK`` steps
+at a time, one row per path and each row from the path's own stream, and
+one cumsum along the rows sums the draws into grid points; an accumulate
+adds in sequence, so a row holds the bits of a block of one.  Local time
+accrues by one rule (``_LocalTimes``), the occupation-window rule
 ``dL = dt/(2 eps) * 1{|X - level| < eps}`` evaluated at the left endpoint
 of every step, the natural discretisation of the occupation-density
-definition.  Point hitting follows one rule per model (``_detect_hit``):
-exact-in-distribution crossing detection (straddle plus Brownian bridge)
-for models with a Gaussian component, window entry for pure-jump models.
-The bridge rule draws only where its crossing probability exceeds 1e-14,
-which needs d0 d1 < 16.118 sigma^2 dt for endpoint distances d0, d1; it
-evaluates probabilities only on the band d0 d1 < 16.2 sigma^2 dt, a
-superset, so a step far from the level costs a difference, a product and
-a comparison.
+definition.  Point hitting follows one rule per model (``_detect_rows``;
+``_detect_hit`` is its one-path form): exact-in-distribution crossing
+detection (straddle plus Brownian bridge) for models with a Gaussian
+component, window entry for pure-jump models.  The bridge rule draws only
+where its crossing probability exceeds 1e-14, which needs
+d0 d1 < 16.118 sigma^2 dt for endpoint distances d0, d1; it evaluates
+probabilities only on the band d0 d1 < 16.2 sigma^2 dt, a superset found
+by one comparison over the block.  A level that no row's range of
+positions comes near costs neither rule anything.
 
-Every statistic is computed by the walker (``walk_one`` under a
-``PathPlan``), which consumes the stepper's chunks without storing the
-path, so ensembles never materialize whole trajectories.  Every state it
-records -- snapshots, threshold crossings, first detections, the clock
-step and the final state -- is a ``WalkState``.  A walk ends at its
-first armed stop event but never before its last snapshot; a plan with
-no stop rule ends with the chunk that holds its last snapshot; otherwise
-the walk runs to the horizon.  ``simulate_path`` joins the same
-stepper's chunks into a whole trajectory for the path dumps of the
-command line, so a dump is the path the walker walks on the same stream.
-Every path owns a private stream derived from ``(master seed, tag, path
-index)``, which makes results reproducible regardless of execution order
-or sharding.
+Every statistic is computed by the block walker (``walk_block`` under a
+``PathPlan``; ``walk_one`` is its one-row form), which consumes the
+stepper's chunks without storing the paths, so ensembles never
+materialize whole trajectories.  Every state it records -- snapshots,
+threshold crossings, first detections, the clock step and the final
+state -- is a ``WalkState``.  A walk ends at its first armed stop event
+but never before its last snapshot; a plan with no stop rule ends with
+the chunk that holds its last snapshot; otherwise the walk runs to the
+horizon.  A row draws in the order of a walk alone (a chunk's
+increments, then the bridge uniforms of its undetected hit levels, level
+by level) and leaves the block with the chunk in which its walk ends, so
+a path's record and its stream's final state do not depend on the rows
+beside it or on the block's size.  ``walk_ensemble`` walks an ensemble
+in blocks sized to ``_BLOCK_ELEMS`` elements per chunk array and yields
+the records in path order.  ``simulate_path`` joins the same stepper's
+chunks into a whole trajectory for the path dumps of the command line, so
+a dump is the path the walker walks on the same stream.  Every path owns
+a private stream derived from ``(master seed, tag, path index)``, which
+makes results reproducible regardless of execution order or sharding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .models import LevyModel
 
@@ -46,7 +57,9 @@ __all__ = [
     "simulate_path",
     "PathPlan",
     "WalkState",
+    "walk_block",
     "walk_one",
+    "walk_ensemble",
     "path_stream",
 ]
 
@@ -64,6 +77,8 @@ NOT_HIT = np.iinfo(np.int64).max
 # holds every step that can draw and the cutoff test inside it decides
 _BRIDGE_P_MIN = 1e-14
 _BRIDGE_BAND = 16.2
+# an ensemble walks paths in blocks of about this many elements per chunk array
+_BLOCK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -131,44 +146,82 @@ class MCConfig:
 # ---------------------------------------------------------------------------
 # the stepper: the one place increments are drawn and local time accrues
 
-def _local_times(left: np.ndarray, levels: tuple, grid: SimGrid) -> np.ndarray:
-    """Local time gained over one chunk, by the occupation-window rule.
+def _near(span, level: float, reach: float) -> bool:
+    """Whether some row's positions come within ``reach`` of a level.
 
-    Each step adds dt/(2 eps) 1{|X - level| < eps} at its left endpoint
-    ``left``.  Row j holds the local time at ``levels[j]`` gained from the
-    chunk's first grid point to its grid points 0..n; the local time at
-    point i is the chunk's entry value plus column i.
+    ``span`` holds each row's lowest and highest position.  A row whose
+    range lies ``reach`` or more away from the level has every position,
+    and every difference to the level, at least that far from it.
     """
-    unit = grid.dt / (2.0 * grid.eps)
-    gain = np.zeros((len(levels), len(left) + 1))
-    for j, lv in enumerate(levels):
-        np.cumsum(unit * (np.abs(left - lv) < grid.eps), out=gain[j, 1:])
-    return gain
+    return any(lo - level < reach and level - hi < reach for lo, hi in zip(*span))
 
 
-def _chunks(model: LevyModel, x0: float, grid: SimGrid, levels: tuple,
-            rng: np.random.Generator):
-    """Step a path from x0 to the horizon, ``_CHUNK`` steps at a time.
+@functools.lru_cache(maxsize=8)
+def _unit_sums(unit: float, n: int) -> np.ndarray:
+    """0, unit, unit + unit, ...: the k-th entry adds unit k times in sequence."""
+    sums = np.cumsum(np.r_[0.0, np.full(n, unit)])
+    sums.flags.writeable = False
+    return sums
 
-    Yields ``(g, seg, lt0, gain)`` per chunk: its first global step
-    ``g``, the positions ``seg`` at grid points g..g+n, the local times
-    ``lt0`` at ``levels`` at point g and the local time ``gain`` since
-    then (see ``_local_times``).  A chunk is drawn only when the consumer
-    asks for it, so the consumer's own draws from ``rng`` (bridge
-    crossings) fall between the increments of two chunks.
+
+class _LocalTimes:
+    """Local time one chunk adds to each row, by the occupation-window rule.
+
+    Each step adds dt/(2 eps) 1{|X - level| < eps} at its left endpoint,
+    ``seg[i, :-1]`` for row i.  ``gain()[i, j, p]`` is what row i gains at
+    ``levels[j]`` from the chunk's first grid point to grid point p, and
+    ``end()[i, j]`` what it gains over the whole chunk.  Both are computed
+    on first use, ``end`` from the window counts unless the running sums
+    exist, as most chunks of a long walk read only ``end``.  The two agree
+    bit for bit: the running sum adds 0.0 exactly off the window, so its
+    last entry is the window steps' unit added in sequence,
+    ``_unit_sums``.  A level no row comes near gains exactly nothing.
     """
-    x, lt0 = x0, np.zeros(len(levels))
-    g = 0
-    while g < grid.n_steps:
-        n = min(_CHUNK, grid.n_steps - g)
-        seg = np.empty(n + 1)
-        seg[0] = x
-        np.cumsum(model.sample_increments(rng, grid.dt, n), out=seg[1:])
-        seg[1:] += x
-        gain = _local_times(seg[:-1], levels, grid)
-        yield g, seg, lt0, gain
-        x, lt0 = seg[-1], lt0 + gain[:, -1]
-        g += n
+
+    def __init__(self, seg: np.ndarray, span, levels: tuple, grid: SimGrid):
+        self.unit = grid.dt / (2.0 * grid.eps)
+        self.shape = (len(seg), len(levels), seg.shape[1])
+        self.inside = {j: np.abs(seg[:, :-1] - lv) < grid.eps
+                       for j, lv in enumerate(levels) if _near(span, lv, grid.eps)}
+        self._gain = None
+
+    def gain(self) -> np.ndarray:
+        if self._gain is None:
+            self._gain = np.zeros(self.shape)
+            for j, inside in self.inside.items():
+                np.cumsum(self.unit * inside, axis=1, out=self._gain[:, j, 1:])
+        return self._gain
+
+    def end(self) -> np.ndarray:
+        if self._gain is not None:
+            return self._gain[:, :, -1]
+        out = np.zeros(self.shape[:2])
+        sums = _unit_sums(self.unit, self.shape[2] - 1)
+        for j, inside in self.inside.items():
+            out[:, j] = sums[[np.count_nonzero(row) for row in inside]]
+        return out
+
+
+def _step(model: LevyModel, x: np.ndarray, grid: SimGrid, levels: tuple, rngs,
+          n: int):
+    """One chunk of n steps for a block of paths, row i from x[i] on rngs[i].
+
+    Returns the positions ``seg`` (rows, n + 1) at the chunk's grid points,
+    each row's lowest and highest position ``span`` and the local time
+    the chunk adds (``_LocalTimes``).  Row i holds
+    ``model.sample_increments(rngs[i], dt, n)``, summed by one cumsum along
+    the rows; an accumulate adds in sequence, so every row is bit for bit
+    the chunk of a block of one.
+    """
+    inc = np.empty((len(rngs), n))
+    for row, rng in zip(inc, rngs):
+        row[:] = model.sample_increments(rng, grid.dt, n)
+    seg = np.empty((len(rngs), n + 1))
+    seg[:, 0] = x
+    np.cumsum(inc, axis=1, out=seg[:, 1:])
+    seg[:, 1:] += x[:, None]
+    span = (seg.min(axis=1).tolist(), seg.max(axis=1).tolist())
+    return seg, span, _LocalTimes(seg, span, levels, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +245,24 @@ def simulate_path(model: LevyModel, x0: float, grid: SimGrid, tracked,
                   stream: np.random.Generator) -> Path:
     """One whole path: the chunks the walker steps through, joined."""
     tracked = tuple(sorted(set(float(t) for t in tracked)))
-    values, lts = [np.array([x0], dtype=float)], [np.zeros((len(tracked), 1))]
-    for _, seg, lt0, gain in _chunks(model, x0, grid, tracked, stream):
-        values.append(seg[1:])
-        lts.append(lt0[:, None] + gain[:, 1:])
+    x, lt0 = np.array([float(x0)]), np.zeros((1, len(tracked)))
+    values, lts = [x], [lt0.T]
+    for g in range(0, grid.n_steps, _CHUNK):
+        seg, _, lts_now = _step(model, x, grid, tracked, [stream],
+                                min(_CHUNK, grid.n_steps - g))
+        values.append(seg[0, 1:])
+        lts.append(lt0[0][:, None] + lts_now.gain()[0, :, 1:])
+        x, lt0 = seg[:, -1], lt0 + lts_now.end()
     return Path(grid=grid, values=np.concatenate(values), tracked_levels=tracked,
                 local_times=dict(zip(tracked, np.concatenate(lts, axis=1))))
 
 
-def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGrid,
-                rng: np.random.Generator):
-    """First detection index into the grid-point array, or None.
+# ---------------------------------------------------------------------------
+# hit detection
+
+def _detect_rows(seg: np.ndarray, span, level: float, model: LevyModel, grid: SimGrid,
+                 rngs, hit_steps: np.ndarray):
+    """Rows of ``seg`` that detect the level, and the first detection index in each.
 
     One rule per model.  With a Gaussian component, a step crosses the
     level when its endpoints straddle it or, for a same-side step, with
@@ -212,30 +272,52 @@ def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGri
     only when that probability exceeds ``_BRIDGE_P_MIN`` (1e-14), which
     needs d0 d1 < 16.118 sigma^2 dt.  So the exponential and the cutoff
     test run only on the band d0 d1 < ``_BRIDGE_BAND`` sigma^2 dt (16.2,
-    a superset), which also holds every straddle; the same steps draw
-    the same uniforms in the same order as a test over the whole chunk.
-    Pure-jump models detect entry of a grid point into the window
-    |X - level| <= delta, the honest event under overshoot: a step
-    straddling the level usually jumped over it.
+    a superset), found by one comparison over the block; the band also
+    holds every straddle, and a chunk whose rows all stay farther than
+    1.01 sqrt(16.2 sigma^2 dt) from the level has no step in it.  Row i
+    draws its uniforms from ``rngs[i]``, the same ones in the same order
+    as a test over its whole chunk.  Pure-jump models detect entry of a
+    grid point into the window |X - level| <= delta, the honest event
+    under overshoot: a step straddling the level usually jumped over it.
+    Only rows whose ``hit_steps`` entry is still NOT_HIT are tested; the
+    others draw nothing.  ``span`` is as returned by ``_step``.
     """
-    d = values - level
     if not model.has_gaussian_part:
-        win = np.abs(d[:-1]) <= grid.delta
-        return int(np.argmax(win)) if win.any() else None
-    prod = d[:-1] * d[1:]
+        if not _near(span, level, 2.0 * grid.delta):
+            return [], []
+        win = np.abs(seg[:, :-1] - level) <= grid.delta
+        rows = np.flatnonzero((hit_steps == NOT_HIT) & win.any(axis=1))
+        return rows, np.argmax(win[rows], axis=1)
     scale = model.gaussian_sigma**2 * grid.dt
-    near = np.flatnonzero(prod < _BRIDGE_BAND * scale)
-    if not len(near):
-        return None
-    prod = prod[near]
-    hit = prod <= 0.0                      # straddles
-    p = np.exp(-2.0 * prod[~hit] / scale)  # same-side steps in the band
-    drawn = p > _BRIDGE_P_MIN
-    if drawn.any():
-        fire = np.zeros(len(p), bool)
-        fire[drawn] = rng.random(int(drawn.sum())) < p[drawn]
-        hit[~hit] = fire
-    return int(near[np.argmax(hit)]) + 1 if hit.any() else None
+    if not _near(span, level, 1.01 * math.sqrt(_BRIDGE_BAND * scale)):
+        return [], []
+    d = seg - level
+    prod = d[:, :-1] * d[:, 1:]
+    band = prod < _BRIDGE_BAND * scale
+    rows, idx = [], []
+    for r in np.flatnonzero((hit_steps == NOT_HIT) & band.any(axis=1)):
+        near = np.flatnonzero(band[r])
+        near_prod = prod[r, near]
+        hit = near_prod <= 0.0                      # straddles
+        p = np.exp(-2.0 * near_prod[~hit] / scale)  # same-side steps in the band
+        drawn = p > _BRIDGE_P_MIN
+        if drawn.any():
+            fire = np.zeros(len(p), bool)
+            fire[drawn] = rngs[r].random(int(drawn.sum())) < p[drawn]
+            hit[~hit] = fire
+        if hit.any():
+            rows.append(r)
+            idx.append(near[np.argmax(hit)] + 1)
+    return rows, idx
+
+
+def _detect_hit(values: np.ndarray, level: float, model: LevyModel, grid: SimGrid,
+                rng: np.random.Generator):
+    """First detection index into one path's grid points, or None (``_detect_rows``)."""
+    span = ([values.min()], [values.max()])
+    rows, idx = _detect_rows(values[None], span, level, model, grid, [rng],
+                             np.array([NOT_HIT]))
+    return int(idx[0]) if len(rows) else None
 
 
 # ---------------------------------------------------------------------------
@@ -312,74 +394,240 @@ def path_stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=master_seed, spawn_key=(tag, index))))
 
 
-def walk_one(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
-             rng: np.random.Generator) -> PathRecord:
-    """Walk a single path under a plan, chunk by chunk, never storing it."""
-    horizon_step = grid.n_steps
-    snap_iter = [s for s in plan.snapshot_steps if s <= horizon_step]
-    arm_step = snap_iter[-1] if snap_iter else 0
-    clock_step = plan.clock_step
-    if clock_step is None or clock_step > horizon_step:
-        clock_step = NOT_HIT  # no clock, or it did not ring within the horizon
-    has_stop_rule = bool(plan.stop_hit_levels or plan.lt_thresholds
-                         or plan.clock_step is not None)
-    end_step = arm_step if snap_iter and not has_stop_rule else horizon_step
+# numpy.random.SeedSequence's hash constants (pool of four 32-bit words)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    hits = plan.hit_levels
+
+def _words(n: int) -> list:
+    """32-bit words of a nonnegative int, least significant first, as SeedSequence reads it."""
+    if n < 0:
+        raise ValueError(f"seeds and tags must be nonnegative, got {n}")
+    out = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        out.append(n & _M32)
+    return out
+
+
+def _seed_words(master_seed: int, tag: int, n_paths: int) -> np.ndarray:
+    """PCG64 seed words of ``path_stream(master_seed, tag, i)``, i < n_paths.
+
+    Row i is ``SeedSequence(master_seed, spawn_key=(tag, i))
+    .generate_state(4, np.uint64)``: numpy's hash, step for step, run on
+    arrays across the paths, where building the seed sequences one by one
+    costs most of a short walk.  ``test_ensemble_streams_equal_path_stream``
+    pins the two against each other.
+    """
+    if n_paths > _M32 + 1:
+        raise ValueError("path indices must fit one 32-bit word")
+    run = _words(master_seed)
+    # a spawned sequence pads its run entropy to the pool size
+    entropy = [np.full(n_paths, w, np.uint64)
+               for w in [*run, *[0] * (4 - len(run)), *_words(tag)]]
+    entropy.append(np.arange(n_paths, dtype=np.uint64))
+    m32, shift = np.uint64(_M32), np.uint64(16)
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ np.uint64(hash_a)
+        hash_a = hash_a * _MULT_A & _M32
+        value = value * np.uint64(hash_a) & m32
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        out = (np.uint64(_MIX_L) * x - np.uint64(_MIX_R) * y) & m32
+        return out ^ (out >> shift)
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    hash_b, state = _INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint64(hash_b)
+        hash_b = hash_b * _MULT_B & _M32
+        value = value * np.uint64(hash_b) & m32
+        state.append(value ^ (value >> shift))
+    return np.stack([state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(4)],
+                    axis=1)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence given by the state words it generates for PCG64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError("these words seed PCG64 only")
+        return self.words
+
+
+@dataclass(slots=True)
+class _Walk:
+    """Bookkeeping of one path while its block walks."""
+
+    rng: np.random.Generator
+    clock_step: int                  # NOT_HIT when no clock rings within the horizon
+    end_step: int                    # the walk ends with the chunk holding this step
+    stop_step: int                   # earliest armed stop event
+    crossed: int = 0                 # local-time thresholds crossed so far
+    snapshots: dict = field(default_factory=dict)
+    crossings: dict = field(default_factory=dict)
+    hit_states: dict = field(default_factory=dict)
+    clock_state: WalkState | None = None
+    record: PathRecord | None = None
+
+
+def walk_block(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan, streams,
+               clock_steps=None) -> list[PathRecord]:
+    """Walk one path per stream under a plan, side by side, never storing them.
+
+    Row i of every chunk is the path of ``streams[i]`` and draws only from
+    it, in the order of a walk alone: the chunk's increments, then the
+    bridge uniforms of its undetected hit levels, level by level.  So a
+    row's record does not depend on the other rows or on the block's
+    size.  ``clock_steps``, when given, is each row's clock step in place
+    of ``plan.clock_step``.  Rows leave the block with the chunk in which
+    their walk ends; events (hits, threshold crossings, the clock) are
+    resolved row by row only in the chunk where they land.
+    """
+    horizon_step = grid.n_steps
+    snaps = [s for s in plan.snapshot_steps if s <= horizon_step]
+    arm_step = snaps[-1] if snaps else 0
+    if clock_steps is None:
+        clock_steps = [plan.clock_step] * len(streams)
+    paths = []
+    for rng, clock in zip(streams, clock_steps):
+        stops = bool(plan.stop_hit_levels or plan.lt_thresholds or clock is not None)
+        # a clock beyond the horizon does not ring, but it still is a stop rule
+        ring = NOT_HIT if clock is None or clock > horizon_step else clock
+        # a plan with no stop rule ends with the chunk of its last snapshot
+        paths.append(_Walk(rng, ring, arm_step if snaps and not stops else horizon_step,
+                           ring))
+
+    hits, thresholds = plan.hit_levels, plan.lt_thresholds
+    stop_ks = [k for k, lv in enumerate(hits) if lv in plan.stop_hit_levels]
     lt_idx = (plan.tracked_levels.index(plan.lt_level)
               if plan.lt_level is not None else -1)
 
-    hit_steps = np.full(len(hits), NOT_HIT, dtype=np.int64)
-    snapshots, crossings, hit_states, clock_state = {}, {}, {}, None
-    pending_thresholds = list(plan.lt_thresholds)
-    earliest_stop = clock_step
-    snap_pos = 0
+    # rows of the paths still walking; a finished path's row is dropped
+    walking = paths
+    x = np.full(len(paths), float(x0))
+    lt0 = np.zeros((len(paths), len(plan.tracked_levels)))
+    hit_steps = np.full((len(paths), len(hits)), NOT_HIT, dtype=np.int64)
 
-    def state_at(step):
-        """State at a grid step of the current chunk."""
-        masked = hit_steps.copy()
-        masked[masked > step] = NOT_HIT
-        return WalkState(step, float(seg[step - g]), lt0 + gain[:, step - g], masked)
+    def states(rows, steps):
+        """States of walking rows at global steps of the chunk in hand."""
+        rows, steps = np.array(rows), np.array(steps)
+        cols = steps - g
+        masked = hit_steps[rows]
+        masked[masked > steps[:, None]] = NOT_HIT
+        return [WalkState(s, v, lt, hs) for s, v, lt, hs in
+                zip(steps.tolist(), seg[rows, cols].tolist(),
+                    lt0[rows] + lts_now.gain()[rows, :, cols],
+                    masked)]
 
-    for g, seg, lt0, gain in _chunks(model, x0, grid, plan.tracked_levels, rng):
-        n = len(seg) - 1
+    for g in range(0, horizon_step, _CHUNK):
+        last = g + min(_CHUNK, horizon_step - g)
+        first = g + 1 if g else 0    # a chunk's first point ends the previous chunk
+        rngs = [w.rng for w in walking]
+        seg, span, lts_now = _step(model, x, grid, plan.tracked_levels, rngs, last - g)
+        # the states this chunk records, (row, step, where, key) for
+        # where[key] = state, built in one call once the events are known
+        marks, clock_at, final_at = [], {}, {}
 
         # hit detection for levels not yet detected
-        new_hits = []
         for k, level in enumerate(hits):
-            if hit_steps[k] != NOT_HIT:
-                continue
-            idx = _detect_hit(seg, level, model, grid, rng)
-            if idx is not None:
-                hit_steps[k] = g + idx
-                new_hits.append(k)
-        for k in new_hits:
-            hit_states[float(hits[k])] = state_at(int(hit_steps[k]))
-            if hits[k] in plan.stop_hit_levels:
-                earliest_stop = min(earliest_stop, int(hit_steps[k]))
+            rows, idx = _detect_rows(seg, span, level, model, grid, rngs, hit_steps[:, k])
+            for r, i in zip(rows, idx):
+                w, step = walking[r], g + int(i)
+                hit_steps[r, k] = step
+                marks.append((r, step, w.hit_states, float(level)))
+                if k in stop_ks:
+                    w.stop_step = min(w.stop_step, step)
 
-        # local-time threshold crossings; the last one arms a stop
-        while pending_thresholds:
-            above = lt0[lt_idx] + gain[lt_idx, 1:] > pending_thresholds[0]
-            if not above.any():
+        # local-time threshold crossings; the last one arms a stop.  Local
+        # time never falls, so a path crosses in this chunk iff its end does
+        if thresholds:
+            lt_end = (lt0[:, lt_idx] + lts_now.end()[:, lt_idx]).tolist()
+            for r, w in enumerate(walking):
+                if w.crossed == len(thresholds) or not lt_end[r] > thresholds[w.crossed]:
+                    continue
+                line = lt0[r, lt_idx] + lts_now.gain()[r, lt_idx, 1:]
+                while w.crossed < len(thresholds):
+                    above = line > thresholds[w.crossed]
+                    if not above.any():
+                        break
+                    step = g + int(np.argmax(above)) + 1
+                    marks.append((r, step, w.crossings, thresholds[w.crossed]))
+                    w.crossed += 1
+                    if w.crossed == len(thresholds):
+                        w.stop_step = min(w.stop_step, step)
+
+        for r, w in enumerate(walking):
+            # the personal clock, when the walk passes its step
+            if first <= w.clock_step <= last:
+                marks.append((r, w.clock_step, clock_at, r))
+            # snapshots due in this chunk: never past a stop, which waits
+            # for the last snapshot
+            marks.extend((r, s, w.snapshots, s) for s in snaps if first <= s <= last)
+            # the final state of a walk that ends in this chunk
+            stop_at = max(w.stop_step, arm_step)
+            if min(stop_at, w.end_step) <= last:
+                marks.append((r, min(stop_at, last), final_at, r))
+
+        if marks:
+            rows, steps, _, _ = zip(*marks)
+            for (_, _, where, key), st in zip(marks, states(rows, steps)):
+                where[key] = st
+        for r, st in clock_at.items():
+            walking[r].clock_state = st
+        for r, final in final_at.items():
+            w = walking[r]
+            w.record = PathRecord(final, max(w.stop_step, arm_step) <= last, w.snapshots,
+                                  w.crossings, w.hit_states, w.clock_state)
+
+        # paths whose walk ended leave the block
+        if final_at:
+            keep = [r for r in range(len(walking)) if r not in final_at]
+            if not keep:
                 break
-            step = g + int(np.argmax(above)) + 1
-            crossings[pending_thresholds.pop(0)] = state_at(step)
-            if not pending_thresholds:
-                earliest_stop = min(earliest_stop, step)
+            walking = [walking[r] for r in keep]
+            x, lt0, hit_steps = seg[keep, -1], lt0[keep] + lts_now.end()[keep], hit_steps[keep]
+        else:
+            x, lt0 = seg[:, -1], lt0 + lts_now.end()
+    return [w.record for w in paths]
 
-        # personal clock state, recorded when the walk passes its step
-        if clock_state is None and g <= clock_step <= g + n:
-            clock_state = state_at(clock_step)
 
-        # snapshots due in this chunk, up to the stop step if any
-        stop_at = max(earliest_stop, arm_step)
-        while snap_pos < len(snap_iter) and snap_iter[snap_pos] <= min(g + n, stop_at):
-            s = snap_iter[snap_pos]
-            snapshots[s] = state_at(s)
-            snap_pos += 1
+def walk_one(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
+             rng: np.random.Generator) -> PathRecord:
+    """Walk a single path under a plan: a block of one row."""
+    return walk_block(model, x0, grid, plan, [rng])[0]
 
-        if stop_at <= g + n or g + n >= end_step:
-            break
-    return PathRecord(state_at(min(stop_at, g + n)), stop_at <= g + n,
-                      snapshots, crossings, hit_states, clock_state)
+
+def walk_ensemble(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
+                  master_seed: int, tag: int, n_paths: int, draw_clock=None):
+    """Records of paths 0..n_paths-1 of ``(master_seed, tag)``, in index order.
+
+    Path i draws from the stream of ``path_stream(master_seed, tag, i)``,
+    seeded from ``_seed_words``.  Paths are walked in blocks of
+    ``_BLOCK_ELEMS`` // (chunk length) rows, which bounds a block's arrays
+    whatever the grid.  ``draw_clock(rng)``, when given, draws a path's
+    clock step from its stream before its first chunk.
+    """
+    rows = max(1, _BLOCK_ELEMS // min(_CHUNK, grid.n_steps))
+    seeds = _seed_words(master_seed, tag, n_paths)
+    for start in range(0, n_paths, rows):
+        streams = [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+                   for words in seeds[start:start + rows]]
+        clock_steps = None if draw_clock is None else [draw_clock(rng) for rng in streams]
+        yield from walk_block(model, x0, grid, plan, streams, clock_steps)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LevyModel
-from .pathsim import MCConfig, PathPlan, WalkState, path_stream, walk_one
-from .resolvent import tilted_zero_resolvent, zero_resolvent_fn
+# walk_one is re-exported: instrumentation wraps it by name in this module
+from .pathsim import MCConfig, PathPlan, WalkState, walk_ensemble, walk_one  # noqa: F401
+from .resolvent import _tilt, zero_resolvent_fn
 
 __all__ = [
     "PenalizationParams",
@@ -191,9 +192,10 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     h_xa, h_xb = h(xs - a), h(xs - b)
     big_b = float(h_ab + h_ba)
     p_b = _exit_first(float(h_ab), h_xa, h_xb, big_b, b, a, scalar)   # reaches b first
-    u = tilted_zero_resolvent(model, g, a - b, h=h)
-    v = tilted_zero_resolvent(model, g, b - a, h=h)
-    val = tilted_zero_resolvent(model, g, xs - a, h=h) - p_b * v
+    # the tilt reuses the h values above: four evaluations of h in all
+    u = _tilt(model, g, np.asarray(a - b), h_ab)
+    v = _tilt(model, g, np.asarray(b - a), h_ba)
+    val = _tilt(model, g, xs - a, h_xa) - p_b * v
     if params.regime != AVOID:
         # the regimes with a finite rate at a add the paths that reach a first
         p_a = _exit_first(float(h_ba), h_xb, h_xa, big_b, a, b, scalar)
@@ -294,9 +296,8 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
 
     n = mc.n_paths
     weights = np.full((3, n), np.nan)
-    for i in range(n):
-        rng = path_stream(mc.master_seed, seed_tag, i)
-        rec = walk_one(model, c, mc.grid, plan, rng)
+    for i, rec in enumerate(walk_ensemble(model, c, mc.grid, plan, mc.master_seed,
+                                          seed_tag, n)):
         for j, u in enumerate(u_grid):
             if u in rec.crossings:
                 weights[j, i] = path_weight(rates, plan, rec.crossings[u])

@@ -461,17 +461,26 @@ def tilted_zero_resolvent(model: LevyModel, gamma: float, x, h=None):
     :class:`ResolventError`.  Accepts a scalar or an array; ``h`` is the
     model's :func:`zero_resolvent_fn` evaluator when the caller holds one.
     """
+    xs = np.asarray(x, dtype=float)
+    return _tilt(model, gamma, xs, (h or zero_resolvent_fn(model))(xs))
+
+
+def _tilt(model: LevyModel, gamma: float, xs: np.ndarray, val):
+    """h(xs) + gamma * xs / m2 from the values ``val`` = h(xs), checked and clamped.
+
+    The one tilt step of :func:`tilted_zero_resolvent`, for callers that
+    already hold h at the positions; h is deterministic, so the result is
+    the same bits.
+    """
     if not -1.0 <= gamma <= 1.0:
         raise ValueError(f"tilt must lie in [-1, 1], got {gamma}")
-    xs = np.asarray(x, dtype=float)
     # math.isfinite keeps the per-path scalar calls of the limit checks cheap
     if not (math.isfinite(xs) if xs.ndim == 0 else np.isfinite(xs).all()):
-        raise ValueError(f"position must be finite, got {x}")
-    val = (h or zero_resolvent_fn(model))(xs)
+        raise ValueError(f"position must be finite, got {xs}")
     if gamma != 0.0 and math.isfinite(model.m2):
         val = val + gamma * xs / model.m2
         if np.minimum.reduce(val, axis=None, initial=0.0) < 0.0:
             if np.any(val < -1e-12 * (1.0 + np.abs(xs))):
-                raise ResolventError(f"tilted zero resolvent {val.min():.3e} < 0 at x={x}")
+                raise ResolventError(f"tilted zero resolvent {val.min():.3e} < 0 at x={xs}")
             val = np.maximum(val, 0.0)
     return float(val) if val.ndim == 0 else val

@@ -35,7 +35,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .models import LevyModel
-from .pathsim import MCConfig, PathPlan, path_stream, walk_one
+# walk_one is re-exported: instrumentation wraps it by name in this module
+from .pathsim import MCConfig, PathPlan, walk_ensemble, walk_one  # noqa: F401
 from .penalization import (UNWEIGHTED, DecayRateEstimate, PenalizationParams,
                            estimate_decay_rate, inverse_clock_value,
                            local_time_until_either_hit, local_time_until_hit,
@@ -162,8 +163,8 @@ def _exposure_identity(model, mc, plan, target, tol_extra, name, seed_tag, meta_
     n = mc.n_paths
     exposure = np.empty(n)
     death = np.empty(n)
-    for i in range(n):
-        rec = walk_one(model, 0.0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
+    for i, rec in enumerate(walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed,
+                                          seed_tag, n)):
         exposure[i] = rec.final.local_times[0]
         death[i] = 1.0 if rec.stopped else 0.0
     deaths = death.sum()
@@ -224,8 +225,8 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
     n = mc.n_paths
     vals = np.zeros(n)
     censored = 0
-    for i in range(n):
-        rec = walk_one(model, 0.0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
+    for i, rec in enumerate(walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed,
+                                          seed_tag, n)):
         got = rec.crossings.get(level_budget)
         if got is None:
             censored += 1
@@ -284,8 +285,8 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
     n = mc.n_paths
     weights = np.empty((len(steps), n))
     positions = np.empty((len(steps), n))
-    for i in range(n):
-        rec = walk_one(model, x0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
+    for i, rec in enumerate(walk_ensemble(model, x0, mc.grid, plan, mc.master_seed,
+                                          seed_tag, n)):
         for j, s in enumerate(steps):
             snap = rec.snapshots[s]
             weights[j, i] = path_weight(params.rates, plan, snap)
@@ -324,8 +325,8 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
 
     n = mc.n_paths
     vals = np.empty((len(steps), n))
-    for i in range(n):
-        rec = walk_one(model, x0, mc.grid, plan, path_stream(mc.master_seed, seed_tag, i))
+    for i, rec in enumerate(walk_ensemble(model, x0, mc.grid, plan, mc.master_seed,
+                                          seed_tag, n)):
         for j, s in enumerate(steps):
             vals[j, i] = inverse_clock_value(params.rates, plan, c, rate.estimate,
                                              rec.snapshots[s])
@@ -615,9 +616,9 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("limit check needs a genuine weight regime")
-    ref = clock_family.reference(model, params, x0, mc, rate)
     if t > mc.grid.horizon + 1e-12:
         raise ValueError("the functional time must lie within the horizon")
+    ref = clock_family.reference(model, params, x0, mc, rate)
     t_step = int(round(t / mc.grid.dt))
     schedule = clock_family.schedule
     reports = []
@@ -670,13 +671,9 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
     f_t = np.empty(n)
     snaps = []
     censored = 0
-    for i in range(n):
-        rng = path_stream(mc.master_seed, tag, i)
-        clock_step = family.draw_step(rng, clock_param, mc.grid.dt)
-        rec = walk_one(model, x0, mc.grid,
-                       plan if clock_step is None else replace(plan, clock_step=clock_step),
-                       rng)
-
+    records = walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, tag, n,
+                            lambda rng: family.draw_step(rng, clock_param, mc.grid.dt))
+    for i, rec in enumerate(records):
         # reference side, evaluated on all paths after the walks
         snaps.append(rec.snapshots[t_step])
         f_t[i] = float(functional(snaps[-1].x))

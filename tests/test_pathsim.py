@@ -402,3 +402,90 @@ def test_walker_rerun_is_bit_identical():
     assert rec_a.final.x == rec_b.final.x
     assert np.array_equal(rec_a.final.local_times, rec_b.final.local_times)
     assert np.array_equal(rec_a.final.hit_steps, rec_b.final.hit_steps)
+
+
+def _same_state(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.step == b.step and a.x == b.x
+            and a.local_times.tobytes() == b.local_times.tobytes()
+            and a.hit_steps.tobytes() == b.hit_steps.tobytes())
+
+
+def _same_record(a, b) -> bool:
+    return (_same_state(a.final, b.final) and a.stopped == b.stopped
+            and _same_state(a.clock_state, b.clock_state)
+            and all(list(getattr(a, f)) == list(getattr(b, f))
+                    and all(_same_state(getattr(a, f)[k], getattr(b, f)[k]) for k in getattr(a, f))
+                    for f in ("snapshots", "crossings", "hit_states")))
+
+
+@pytest.mark.parametrize("model", [BM, models.symmetric_stable(1.5),
+                                   models.jump_diffusion(1.0, 1.0, 1.0, 2.0)],
+                         ids=("bm", "stable", "jump-diffusion"))
+def test_block_walk_equals_path_by_path(model, monkeypatch):
+    # each row of a block draws from its own stream in the order of a walk
+    # alone, so every record and every stream's state after the walk are
+    # the same for blocks of 1 and 3 rows and for the ensemble's blocks
+    monkeypatch.setattr(pathsim, "_CHUNK", 200)
+    grid = SimGrid(dt=4e-3, horizon=4.0)             # five chunks
+    n = 13
+    plans = [
+        PathPlan(tracked_levels=(0.0, 1.0), hit_levels=(0.0, 1.0),
+                 snapshot_steps=(0, 50, 200, 450)),
+        PathPlan(tracked_levels=(0.0,), hit_levels=(1.0, -1.5), stop_hit_levels=(1.0, -1.5),
+                 lt_level=0.0, lt_thresholds=(0.05, 0.2)),
+        PathPlan(tracked_levels=(0.0, 1.0), hit_levels=(1.0, 2.5), stop_hit_levels=(2.5,),
+                 snapshot_steps=(300,)),
+    ]
+    seen = {"stopped": 0, "censored": 0, "crossing": 0, "hit": 0, "clock": 0, "late": 0}
+    for plan in plans:
+        for clocks in (None, [int(c) for c in np.random.default_rng(5).integers(0, 1100, n)]):
+            streams = {}
+
+            def draw(rng):
+                streams.setdefault("default", []).append(rng)
+                return None if clocks is None else clocks[len(streams["default"]) - 1]
+            want = list(pathsim.walk_ensemble(model, 0.5, grid, plan, 8, 4, n, draw))
+            for rows in (1, 3):
+                streams[rows] = [path_stream(8, 4, i) for i in range(n)]
+                got = []
+                for start in range(0, n, rows):
+                    got += pathsim.walk_block(
+                        model, 0.5, grid, plan, streams[rows][start:start + rows],
+                        None if clocks is None else clocks[start:start + rows])
+                assert all(_same_record(a, b) for a, b in zip(want, got)), (plan, rows)
+            states = [[rng.bit_generator.state for rng in rngs] for rngs in streams.values()]
+            assert states[0] == states[1] == states[2]
+            for rec in want:
+                seen["stopped"] += rec.stopped
+                seen["censored"] += not rec.stopped
+                seen["crossing"] += bool(rec.crossings)
+                seen["hit"] += bool(rec.hit_states)
+                seen["clock"] += rec.clock_state is not None
+                seen["late"] += rec.final_step > 2 * pathsim._CHUNK
+    # the walks cover every kind of event and run past two chunks
+    assert min(seen.values()) > 0, seen
+
+
+def test_ensemble_streams_equal_path_stream():
+    # the ensemble seeds its streams from SeedSequence's hash run on arrays;
+    # every seed word and every generator state is that of path_stream
+    for master_seed in (0, 1, 5, 2**32 - 1, 2**32, 2**64 + 3, 10**40):
+        for tag in (0, 7, 501, 2**33):
+            words = pathsim._seed_words(master_seed, tag, 70)
+            for i in (0, 1, 2, 69):
+                ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(tag, i))
+                assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
+            streams = []
+            recs = list(pathsim.walk_ensemble(BM, 0.0, SimGrid(dt=0.01, horizon=0.05),
+                                              PathPlan(), master_seed, tag, 3,
+                                              lambda rng: streams.append(rng)))
+            assert len(recs) == 3
+            for i, rng in enumerate(streams):
+                ref = path_stream(master_seed, tag, i)
+                ref.standard_normal(5)
+                assert rng.bit_generator.state == ref.bit_generator.state
+    # a negative seed fails as SeedSequence fails on it
+    with pytest.raises(ValueError, match="nonnegative"):
+        pathsim._seed_words(-1, 7, 3)

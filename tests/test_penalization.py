@@ -167,6 +167,24 @@ def test_factor_array_equals_scalar_calls(model):
                 assert got.tobytes() == np.array(want).tobytes(), (la, lb, gamma, a, b)
 
 
+@pytest.mark.parametrize("model", [BM, ST, JD], ids=("bm", "stable", "jump-diffusion"))
+def test_factor_evaluates_h_four_times(model):
+    # h at a - b, b - a, x - a and x - b serves both exit probabilities and
+    # the tilt, in every regime
+    h = pen.zero_resolvent_cached_fn(model)
+    for la, lb in ((1.0, 1.0), (1.0, INF), (INF, INF)):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return h(x)
+        got = pen.martingale_factor(model, params(la=la, lb=lb, gamma=0.5),
+                                    np.linspace(-2.0, 3.0, 7), h=counted)
+        assert len(calls) == 4, (la, lb)
+        assert np.array_equal(got, pen.martingale_factor(model, params(la=la, lb=lb, gamma=0.5),
+                                                         np.linspace(-2.0, 3.0, 7), h=h))
+
+
 def test_factor_pair_swap_symmetry():
     rng = np.random.default_rng(3)
     for model in (BM, ST):

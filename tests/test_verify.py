@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from levypen import models, resolvent, verify
+from levypen import models, pathsim, resolvent, verify
 from levypen.pathsim import MCConfig, SimGrid
 from levypen.penalization import PenalizationParams, estimate_decay_rate
 
@@ -322,6 +322,7 @@ def test_budget_clock_rejects_an_avoided_point_before_the_level(model, la, monke
     # set-up is rejected before the decay-rate estimate and the walks
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a path")
+    monkeypatch.setattr(pathsim, "walk_block", no_walk)
     monkeypatch.setattr(verify, "walk_one", no_walk)
     monkeypatch.setattr(verify, "estimate_decay_rate", no_walk)
     p = PenalizationParams(0.0, 1.0, la, INF)
@@ -329,3 +330,18 @@ def test_budget_clock_rejects_an_avoided_point_before_the_level(model, la, monke
     with pytest.raises(verify.DegenerateStartError, match=r"avoided point [01]\.0 lies"):
         verify.check_penalization_limit(model, p, fam, verify.IndicatorAbove(2.0), 0.25,
                                         2.0, mc_small(n=100, dt=4e-3, horizon=60.0))
+
+
+def test_limit_check_rejects_t_past_the_horizon_before_any_walk(monkeypatch):
+    # the budget family's reference estimates the decay rate by walking a
+    # whole ensemble; a functional time past the horizon fails before that
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a path")
+    monkeypatch.setattr(pathsim, "walk_block", no_walk)
+    monkeypatch.setattr(verify, "walk_one", no_walk)
+    monkeypatch.setattr(verify, "estimate_decay_rate", no_walk)
+    p = PenalizationParams(1.0, 2.0, 1.0, 1.0)
+    fam = verify.LocalTimeBudgetClockFamily(c=0.0, us=(0.5, 1.0))
+    with pytest.raises(ValueError, match="within the horizon"):
+        verify.check_penalization_limit(BM, p, fam, verify.IndicatorAbove(2.0), 100.0, 0.0,
+                                        mc_small(n=100, dt=4e-3, horizon=60.0))

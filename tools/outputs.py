@@ -9,8 +9,15 @@ For each configuration in ``CONFIGS`` this runs ``levypen table``,
 every file the commands write, their console output (``<command>.log``)
 and their exit status (``<command>.status``).
 
+It also writes ``OUT_DIR/ensembles/<model>.json``: the reports of
+``check_penalization_limit`` for the five clock families in the regimes
+(1, 2), (1, inf) and (inf, inf), and of ``check_martingale`` in (1, 1),
+(1, inf) and (inf, inf), on Brownian motion, stable(1.5) and
+``jump_diffusion(1, 1, 1, 2)``, each on a small ensemble; a set-up that
+raises records its error instead.
+
 Run it on two commits and compare the two directories with ``diff -r``
-to see which outputs a change moved.  It takes about a minute on a
+to see which outputs a change moved.  It takes about two minutes on a
 2-vCPU machine and is not part of the test suite.
 """
 
@@ -18,13 +25,17 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from levypen import cli  # noqa: E402
+from levypen import cli, models, verify  # noqa: E402
+from levypen.pathsim import MCConfig, SimGrid  # noqa: E402
+from levypen.penalization import PenalizationParams  # noqa: E402
 
 _GRID_MC = """
 [grid]
@@ -112,6 +123,46 @@ def run(config_dir: Path, command: str) -> None:
     (config_dir / f"{command}.status").write_text(f"{status}\n")
 
 
+ENSEMBLE_MODELS = {
+    "brownian": models.brownian(1.0),
+    "stable-1.5": models.symmetric_stable(1.5),
+    "jump-diffusion": models.jump_diffusion(1.0, 1.0, 1.0, 2.0),
+}
+CLOCK_FAMILIES = {
+    "exponential": verify.ExponentialClockFamily(qs=(0.5, 0.1)),
+    "hitting": verify.HittingClockFamily(cs=(3.0, 6.0)),
+    "two-point": verify.TwoPointClockFamily(gamma=0.5, rs=(2.0, 4.0)),
+    "inverse-lt": verify.InverseLocalTimeClockFamily(cs=(3.0, 6.0)),
+    "budget-c=-1": verify.LocalTimeBudgetClockFamily(c=-1.0, us=(0.5, 1.0)),
+    "budget-c=3": verify.LocalTimeBudgetClockFamily(c=3.0, us=(0.5, 1.0)),
+}
+
+
+def _reports(check, *args) -> list | str:
+    try:
+        return [r.to_dict() for r in check(*args)]
+    except Exception as exc:  # a set-up that raises is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def ensembles(model) -> dict:
+    """Limit and martingale reports of one model, keyed by set-up."""
+    out = {}
+    mc = MCConfig(n_paths=200, master_seed=5, grid=SimGrid(dt=4e-3, horizon=100.0))
+    for rates in ((1.0, 2.0), (1.0, math.inf), (math.inf, math.inf)):
+        params = PenalizationParams(0.0, 1.0, *rates)
+        for name, family in CLOCK_FAMILIES.items():
+            out[f"limit {rates} {name}"] = _reports(
+                verify.check_penalization_limit, model, params, family,
+                verify.IndicatorAbove(2.0), 0.25, 2.0, mc)
+    mc = MCConfig(n_paths=500, master_seed=5, grid=SimGrid(dt=1e-3, horizon=0.55))
+    for rates in ((1.0, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        out[f"martingale {rates}"] = _reports(
+            verify.check_martingale, model, PenalizationParams(0.0, 1.0, *rates),
+            (0.1, 0.5), 2.0, mc)
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -124,6 +175,11 @@ def main(argv: list[str]) -> int:
         for command in COMMANDS:
             run(config_dir, command)
             print(f"{name}: {command}", flush=True)
+    (out / "ensembles").mkdir(parents=True, exist_ok=True)
+    for name, model in ENSEMBLE_MODELS.items():
+        text = json.dumps(ensembles(model), indent=1, sort_keys=True)
+        (out / "ensembles" / f"{name}.json").write_text(text + "\n")
+        print(f"ensembles: {name}", flush=True)
     return 0
 
 
