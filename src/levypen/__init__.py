@@ -1,12 +1,16 @@
 """Penalization functionals of recurrent Levy processes, verified by Monte Carlo.
 
 The package computes the objects that drive local-time penalization and
-conditioning to avoid points: resolvent densities by numerical Fourier
-inversion, the renormalized zero resolvent in closed form and its
-directional tilts, expected local times before hits, exit-order
-probabilities, and the martingale factors of the three weight regimes.  A simulation layer
-with exact increment laws and occupation local times backs a statistical
-harness that checks every closed form against paths.
+conditioning to avoid points: exact resolvent densities (closed forms,
+residues, and a rotated contour for the stable model, with Fourier
+quadrature kept as their reference), the renormalized zero resolvent in
+closed form and its directional tilts, expected local times before hits,
+exit-order probabilities, and the martingale factors of the three weight
+regimes.  A simulation layer with exact increment laws and occupation
+local times backs a statistical harness that checks every closed form
+against paths.  Importing the package loads numpy only; scipy and mpmath
+are imported on first use by the quadrature references and by
+check_condition_a.
 """
 
 from .models import brownian, check_condition_a, jump_diffusion, symmetric_stable

@@ -54,7 +54,8 @@ class LevyModel:
     def psi(self, lam):
         """Characteristic exponent: E_0[exp(i lam X_t)] = exp(-t psi(lam)).
 
-        Accepts scalars or arrays.  Real-valued for symmetric models,
+        Accepts scalars or arrays.  Real-valued for symmetric models
+        (a jump diffusion without jumps or with p+ = p- included),
         complex for the asymmetric jump diffusion.
         """
         lam = np.asarray(lam, dtype=float)
@@ -67,6 +68,9 @@ class LevyModel:
             jump_cf = (w * self.p_plus / (self.p_plus - 1j * lam)
                        + (1.0 - w) * self.p_minus / (self.p_minus + 1j * lam))
             out = 0.5 * self.sigma**2 * lam**2 + self.jump_rate * (1.0 - jump_cf)
+            if self.symmetric:
+                # no jumps, or p+ = p-: the imaginary part is an exact zero
+                out = out.real
         if out.ndim == 0:
             return complex(out) if np.iscomplexobj(out) else float(out)
         return out

@@ -7,11 +7,16 @@ Brownian closed forms anchor most assertions:
 
 The stable model is checked through self-similarity (h scales like
 |x|^(alpha-1)) and an independent arbitrary-precision quadrature oracle.
-The closed-form h of every model is checked against the q -> 0
-quadrature reference, ``zero_resolvent_quad``.
+The exact r_q of every model is checked against the Fourier-quadrature
+reference, ``resolvent_density_quad``, and the closed-form h against the
+q -> 0 quadrature reference, ``zero_resolvent_quad``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -52,6 +57,131 @@ def test_non_finite_position_rejected(x, model, fn):
     # a NaN position used to crash the interpreter inside QUADPACK
     with pytest.raises(ValueError):
         fn(model, 1.0, x)
+
+
+@pytest.mark.parametrize("fn", [resolvent.resolvent_density, resolvent.resolvent_density_quad,
+                                resolvent.resolvent_gap])
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_q_rejected(fn, q):
+    # an infinite q used to return r_q = 0, which the inverse-local-time
+    # clock divides by
+    for model in (BM, ST, JD):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(model, q, 1.0)
+
+
+def test_exact_density_matches_quadrature_reference():
+    # BM at q = 10, |x| = 5 takes the reference through its mpmath escalation
+    grid_q = (0.02, 0.1, 0.5, 1.0, 10.0)
+    grid_x = (-5.0, -1.3, -0.2, 0.0, 0.2, 1.3, 5.0)
+    for model in (models.brownian(0.7), BM, models.symmetric_stable(1.2), ST,
+                  models.symmetric_stable(1.9), models.symmetric_stable(2.0), JD,
+                  models.jump_diffusion(0.5, 2.0, 3.0, 0.5),
+                  models.jump_diffusion(0.8, 0.0, 1.0, 2.0)):
+        for q in grid_q:
+            for x in grid_x:
+                exact = resolvent.resolvent_density(model, q, x)
+                ref = resolvent.resolvent_density_quad(model, q, x)
+                assert abs(exact - ref) <= 1e-8 * exact + 1e-12, (model, q, x, exact, ref)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+def test_stable_density_against_fourier_oracle(alpha):
+    # independent oracle: the original oscillatory Fourier integral
+    # (1/pi) int_0^inf cos(lam x) / (q + lam^alpha) dlam in 30 digits, not
+    # the rotated contour the exact density integrates.  The head up to a
+    # multiple of the half period past 8 q^(1/alpha) is split at the
+    # kernel's scale; quadosc alone, on [0, inf), misses by 5e-8 at q = 0.1
+    model = models.symmetric_stable(alpha)
+    for q, x in ((1.0, 1.3), (10.0, 5.0), (0.1, 0.2)):
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+
+            def f(lam):
+                return mp.cos(lam * x) / (q + lam**a)
+
+            s = mp.mpf(q) ** (1 / a)
+            head = mp.pi / x * math.ceil(8 * s * x / mp.pi)
+            pts = [0] + [s * 2**k for k in range(-3, 4) if s * 2**k < head] + [head]
+            oracle = float((mp.quad(f, pts) + mp.quadosc(f, [head, mp.inf], omega=x)) / mp.pi)
+        assert resolvent.resolvent_density(model, q, x) == pytest.approx(oracle, rel=1e-10)
+        assert resolvent.resolvent_density(model, q, -x) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_stable_density_far_from_the_rule():
+    # below q^(1/alpha)|x| = 1e-10 and above 1e3 the density uses the
+    # expansions of the rotated integral; oracle: that integral in 30 digits
+    for alpha in (1.05, 1.5, 1.95):
+        model = models.symmetric_stable(alpha)
+        for x in (1e-14, 1e5):
+            with mp.workdps(30):
+                a = mp.mpf(alpha)
+                c, s = mp.cos(mp.pi * a / 2), mp.sin(mp.pi * a / 2)
+
+                def f(t):
+                    return mp.exp(-x * t) * t**a / ((t**a + c) ** 2 + s**2)
+
+                pts = [0, 1 - s, 1, 1 + s, 2] + [10**k for k in range(1, 17)] + [mp.inf]
+                oracle = float(s / mp.pi * mp.quad(f, pts))
+            assert resolvent.resolvent_density(model, 1.0, x) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_gaussian_members_use_the_brownian_form():
+    st2 = models.symmetric_stable(2.0)
+    bm2 = models.brownian(math.sqrt(2.0))
+    no_jumps = models.jump_diffusion(0.8, 0.0, 1.0, 2.0)
+    bm08 = models.brownian(0.8)
+    for q in (0.1, 1.0, 10.0):
+        for x in (-2.0, 0.0, 0.7):
+            assert (resolvent.resolvent_density(st2, q, x)
+                    == resolvent.resolvent_density(bm2, q, x))
+            assert (resolvent.resolvent_density(no_jumps, q, x)
+                    == resolvent.resolvent_density(bm08, q, x))
+            s = math.sqrt(2.0 * q)
+            want = math.exp(-s * abs(x) / 0.8) / (0.8 * s)
+            assert resolvent.resolvent_density(bm08, q, x) == pytest.approx(want, rel=1e-15)
+
+
+def test_import_and_exact_forms_load_neither_scipy_nor_mpmath(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[model]\nkind = stable\nalpha = 1.5\n\n[params]\na = 0.0\nb = 1.0\n"
+                      "lambda_a = 1.0\nlambda_b = inf\n\n[grid]\ndt = 1e-3\nhorizon = 1.0\n")
+    script = """
+import sys
+import levypen
+from levypen import cli, models, resolvent
+for model in (models.brownian(1.0), models.symmetric_stable(1.5),
+              models.jump_diffusion(1.0, 1.0, 1.0, 2.0)):
+    for x in (-5.0, 0.0, 1.3):
+        assert resolvent.resolvent_density(model, 10.0, x) > 0.0
+assert cli.main(["table", "--config", sys.argv[1], "--x-grid", "2.0"]) == 0
+loaded = sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "mpmath"})
+assert not loaded, loaded
+"""
+    src = Path(resolvent.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, str(config)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "x,h,h_gamma,phi,hitting_prob"
+
+
+def test_quadrature_references_call_quad_by_module_name(monkeypatch):
+    # tracing wraps resolvent.quad by name: the references must look it up there
+    calls = []
+    real = resolvent.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "quad", counting)
+    for cached in (resolvent._r0, resolvent._density, resolvent._zero_resolvent_quad):
+        cached.cache_clear()
+    resolvent.resolvent_density_quad(ST, 0.7, 1.3)
+    n_density = len(calls)
+    resolvent.zero_resolvent_quad(ST, 1.3)
+    assert n_density >= 2
+    assert len(calls) > n_density
 
 
 def test_stable_density_against_mpmath_oracle():
