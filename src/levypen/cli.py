@@ -64,35 +64,6 @@ class RunConfig:
         return MCConfig(n_paths=self.n_paths, master_seed=self.seed, grid=self.grid,
                         z=self.z, censor_budget=self.censor_budget)
 
-    def to_ini(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["model"] = {k: _fmt(v) for k, v in self.model.config_items().items()}
-        cp["params"] = {
-            "a": _fmt(self.params.a), "b": _fmt(self.params.b),
-            "lambda_a": _fmt(self.params.lambda_a),
-            "lambda_b": _fmt(self.params.lambda_b),
-            "gamma": _fmt(self.params.gamma),
-        }
-        cp["grid"] = {"dt": _fmt(self.grid.dt), "eps": _fmt(self.grid.eps),
-                      "horizon": _fmt(self.grid.horizon)}
-        cp["mc"] = {"n_paths": str(self.n_paths), "seed": str(self.seed),
-                    "z": _fmt(self.z), "censor_budget": _fmt(self.censor_budget)}
-        cp["output"] = {"directory": self.out_dir}
-        out = []
-        for section in cp.sections():
-            out.append(f"[{section}]")
-            out.extend(f"{k} = {v}" for k, v in cp[section].items())
-            out.append("")
-        return "\n".join(out)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None):
     if not cp.has_option(section, key):

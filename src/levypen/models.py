@@ -23,7 +23,6 @@ __all__ = [
     "symmetric_stable",
     "jump_diffusion",
     "check_condition_a",
-    "sample_increment",
 ]
 
 BROWNIAN = "brownian"
@@ -94,11 +93,6 @@ class LevyModel:
         if self.kind == STABLE:
             return math.sqrt(2.0) if self.alpha == 2.0 else 0.0
         return self.sigma
-
-    @property
-    def stability_index(self) -> float:
-        """Decay exponent of psi at infinity: psi ~ |lam|^index."""
-        return self.alpha if self.kind == STABLE else 2.0
 
     def small_freq_scale(self, q: float) -> float:
         """Frequency below which q dominates psi: psi(scale) ~ q.
@@ -208,16 +202,6 @@ def jump_diffusion(sigma: float, jump_rate: float, p_plus: float, p_minus: float
     return LevyModel(kind=JUMP_DIFFUSION, sigma=float(sigma), jump_rate=float(jump_rate),
                      p_plus=float(p_plus), p_minus=float(p_minus), m2=m2,
                      symmetric=(p_plus == p_minus) or jump_rate == 0.0)
-
-
-def psi(model: LevyModel, lam):
-    """Characteristic exponent of the model at lam (module-level alias)."""
-    return model.psi(lam)
-
-
-def sample_increment(model: LevyModel, dt: float, stream: np.random.Generator) -> float:
-    """One draw of X_{t+dt} - X_t."""
-    return float(model.sample_increments(stream, dt, 1)[0])
 
 
 @dataclass(frozen=True)

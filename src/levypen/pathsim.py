@@ -79,6 +79,8 @@ _BRIDGE_P_MIN = 1e-14
 _BRIDGE_BAND = 16.2
 # an ensemble walks paths in blocks of about this many elements per chunk array
 _BLOCK_ELEMS = 1 << 14
+# standard errors are batch means over this many contiguous path-index blocks
+N_BATCHES = 50
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,6 @@ class MCConfig:
     grid: SimGrid
     z: float = 3.0
     censor_budget: float = 0.25
-    n_batches: int = 50
 
     def __post_init__(self):
         if self.n_paths < 100:
@@ -139,8 +140,8 @@ class MCConfig:
             raise ValueError(f"z must be finite and positive, got {self.z}")
         if not 0 <= self.censor_budget < 1:
             raise ValueError("censor_budget must lie in [0, 1)")
-        if self.n_batches < 2 or self.n_paths % self.n_batches:
-            raise ValueError("n_batches must divide n_paths")
+        if self.n_paths % N_BATCHES:
+            raise ValueError(f"n_paths must be a multiple of {N_BATCHES}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
-from .pathsim import MCConfig, PathPlan, WalkState, walk_ensemble, walk_one  # noqa: F401
+from .pathsim import N_BATCHES, MCConfig, PathPlan, WalkState, walk_ensemble, walk_one  # noqa: F401
 from .resolvent import _tilt, zero_resolvent_fn
 
 __all__ = [
@@ -51,6 +51,7 @@ AVOID = "avoid"            # avoidance of both points
 UNWEIGHTED = "unweighted"  # both rates zero; weight identically one
 
 _NEG_CLAMP = 1e-10
+_TAG_DECAY = 401        # stream tag of the decay-rate ensemble
 _H_FN_CACHE_SIZE = 64   # evaluators, one per model
 
 
@@ -113,7 +114,7 @@ def zero_resolvent_cached_fn(model: LevyModel):
     return zero_resolvent_fn(model)
 
 
-def local_time_until_hit(model: LevyModel, a: float, h=None) -> float:
+def local_time_until_hit(model: LevyModel, a: float) -> float:
     """Expected local time at the origin before hitting a: h(a) + h(-a).
 
     Zero exactly when a = 0.  Equality with the Monte Carlo occupation
@@ -121,7 +122,7 @@ def local_time_until_hit(model: LevyModel, a: float, h=None) -> float:
     """
     if a == 0.0:
         return 0.0
-    h = h or zero_resolvent_cached_fn(model)
+    h = zero_resolvent_cached_fn(model)
     return float(h(a) + h(-a))
 
 
@@ -270,7 +271,7 @@ class DecayRateEstimate:
 
 def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
                         lambda_a: float, lambda_b: float, mc: MCConfig,
-                        u0: float = 1.0, seed_tag: int = 401) -> DecayRateEstimate:
+                        u0: float = 1.0) -> DecayRateEstimate:
     """Estimate the decay rate of P_c[weight at eta_u^c] = exp(-u * rate).
 
     Simulates paths from c, records the weight at the inverse local
@@ -297,7 +298,7 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     n = mc.n_paths
     weights = np.full((3, n), np.nan)
     for i, rec in enumerate(walk_ensemble(model, c, mc.grid, plan, mc.master_seed,
-                                          seed_tag, n)):
+                                          _TAG_DECAY, n)):
         for j, u in enumerate(u_grid):
             if u in rec.crossings:
                 weights[j, i] = path_weight(rates, plan, rec.crossings[u])
@@ -310,12 +311,11 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     censored = 1.0 - float(present[2].mean())
 
     means = np.array([np.nanmean(weights[j]) for j in range(3)])
-    nb = mc.n_batches
-    batch = weights.reshape(3, nb, n // nb)
+    batch = weights.reshape(3, N_BATCHES, -1)
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # batches with no survivors
         bmeans = np.nanmean(batch, axis=2)
-        se = np.nanstd(bmeans, axis=1, ddof=1) / math.sqrt(nb)
+        se = np.nanstd(bmeans, axis=1, ddof=1) / math.sqrt(N_BATCHES)
 
     y = -np.log(means)
     var_y = np.maximum((se / means) ** 2, 1e-30)

@@ -30,15 +30,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import LevyModel
 
 __all__ = [
-    "QuadratureConfig",
-    "ZeroLimitConfig",
     "ResolventError",
     "QuadratureError",
     "ConvergenceError",
@@ -74,46 +71,17 @@ class ConditionAError(ResolventError):
     """Resolvent kernel not integrable for this model and q."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budgets for a single inversion integral."""
+# tolerances and panel budget of one inversion integral
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_PANELS = 400
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_panels: int = 400
-    tail_cut: float | None = None  # finite/oscillatory split; auto when None
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol < 1 and 0 < self.rel_tol < 1):
-            raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_panels < 16:
-            raise ValueError("max_panels must be at least 16")
-        if self.tail_cut is not None and self.tail_cut <= 0:
-            raise ValueError("tail_cut must be positive")
-
-
-@dataclass(frozen=True)
-class ZeroLimitConfig:
-    """Geometric q-sequence used to reach the q -> 0 limit of the gap."""
-
-    q_start: float = 1.0
-    q_ratio: float = 0.25
-    stop_tol: float = 1e-7
-    max_steps: int = 60
-
-    def __post_init__(self):
-        if not self.q_start > 0:
-            raise ValueError("q_start must be positive")
-        if not 0 < self.q_ratio < 1:
-            raise ValueError("q_ratio must lie in (0, 1)")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
-        if self.max_steps < 2:
-            raise ValueError("max_steps must be at least 2")
-
-
-_DEFAULT_QUAD = QuadratureConfig()
-_DEFAULT_LIMIT = ZeroLimitConfig()
+# geometric q-sequence to the q -> 0 limit of the gap: q_k = _Q_START *
+# _Q_RATIO^k, stopped when two successive gaps differ by less than _STOP_TOL
+_Q_START = 1.0
+_Q_RATIO = 0.25
+_STOP_TOL = 1e-7
+_MAX_STEPS = 60
 
 # magnitude (relative to the kernel scale) below which float64 Fourier
 # quadrature cancels away; such values are recomputed in mpmath with the
@@ -158,15 +126,13 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
-def _quad_checked(f, lo, hi, cfg: QuadratureConfig, *, weight=None, wvar=None, points=None):
+def _quad_checked(f, lo, hi, *, weight=None, wvar=None, points=None):
     """scipy.integrate.quad with budget accounting and error propagation."""
     from scipy.integrate import IntegrationWarning
 
-    kwargs = dict(epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_panels,
-                  full_output=1)
+    kwargs = dict(epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_PANELS, full_output=1)
     if weight is not None:
-        kwargs.update(weight=weight, wvar=wvar, limlst=max(50, cfg.max_panels // 2))
-        kwargs.pop("points", None)
+        kwargs.update(weight=weight, wvar=wvar, limlst=max(50, _MAX_PANELS // 2))
     elif points:
         kwargs["points"] = points
     with warnings.catch_warnings():
@@ -176,24 +142,22 @@ def _quad_checked(f, lo, hi, cfg: QuadratureConfig, *, weight=None, wvar=None, p
     # QUADPACK signals trouble via a message element; tolerate it only if
     # the reported error is still acceptable for the requested tolerances
     troubled = len(out) > 3
-    if troubled and abserr > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(val)):
+    if troubled and abserr > 1e3 * max(_ABS_TOL, _REL_TOL * abs(val)):
         raise QuadratureError(
             f"quadrature failed on [{lo}, {hi}] (weight={weight}): "
             f"value {val:.3e}, error estimate {abserr:.3e}")
     return val
 
 
-def _auto_tail_cut(model: LevyModel, q: float, x: float, cfg: QuadratureConfig) -> float:
+def _auto_tail_cut(model: LevyModel, q: float, x: float) -> float:
     """Split point between the adaptive panel and the Fourier tail.
 
-    Far enough out that the analytic tail bound is below abs_tol/10 (the
+    Far enough out that the analytic tail bound is below _ABS_TOL/10 (the
     tail is still integrated, the rule just keeps it small), close enough
     in that the finite panel sees a bounded number of oscillations.
     """
-    if cfg.tail_cut is not None:
-        return cfg.tail_cut
     lam = 10.0
-    while model.tail_bound(q, lam) > 0.1 * cfg.abs_tol * math.pi and lam < 1e8:
+    while model.tail_bound(q, lam) > 0.1 * _ABS_TOL * math.pi and lam < 1e8:
         lam *= 2.0
     if x != 0.0:
         # cap the oscillation count inside the finite panel
@@ -233,29 +197,33 @@ def _density_mp(model: LevyModel, q: float, x: float, dps: int) -> float:
 
     with mp.workdps(dps):
         w = mp.mpf(abs(x))
-        period = 2 * mp.pi / w
+        # quadosc alone on [0, inf) misses the kernel's feature near lam = 0
+        # (1e-6 relative on stable(1.2) at 16 digits): the head up to a
+        # multiple of the half period past 8 kernel scales is split there
+        scale = model.small_freq_scale(q)
+        head = mp.pi / w * math.ceil(8 * scale * w / mp.pi)
+        pts = [0] + [scale * 2**k for k in range(-3, 4) if scale * 2**k < head] + [head]
 
-        def a_cos(lam):
-            return mp.re(1 / (q + _psi_mp(model, lam))) * mp.cos(lam * w)
+        def transform(f):
+            return mp.quad(f, pts) + mp.quadosc(f, [head, mp.inf], omega=w)
 
-        val = mp.quadosc(a_cos, [0, mp.inf], period=period)
+        val = transform(lambda lam: mp.re(1 / (q + _psi_mp(model, lam))) * mp.cos(lam * w))
         if not model.symmetric:
-            def b_sin(lam):
-                return mp.im(1 / (q + _psi_mp(model, lam))) * mp.sin(lam * w)
-            val += math.copysign(1.0, x) * mp.quadosc(b_sin, [0, mp.inf], period=period)
+            val += math.copysign(1.0, x) * transform(
+                lambda lam: mp.im(1 / (q + _psi_mp(model, lam))) * mp.sin(lam * w))
         return float(val / mp.pi)
 
 
 @functools.lru_cache(maxsize=_R0_CACHE_SIZE)
-def _r0(model: LevyModel, q: float, cfg: QuadratureConfig) -> float:
+def _r0(model: LevyModel, q: float) -> float:
     """r_q(0), memoized: it is both an output and the escalation scale."""
     a_part, _ = _kernel_parts(model, q)
     scale = model.small_freq_scale(q)
     cut = max(10.0, 64.0 * scale)
-    body = _quad_checked(a_part, 0.0, cut, cfg,
+    body = _quad_checked(a_part, 0.0, cut,
                          points=[p for p in (0.5 * scale, scale, 4 * scale, 16 * scale)
                                  if 0 < p < cut])
-    tail = _quad_checked(a_part, cut, np.inf, cfg)
+    tail = _quad_checked(a_part, cut, np.inf)
     return (body + tail) / math.pi
 
 
@@ -380,32 +348,30 @@ def resolvent_density(model: LevyModel, q: float, x: float) -> float:
     return _brownian_density(model.gaussian_sigma, q, x)
 
 
-def resolvent_density_quad(model: LevyModel, q: float, x: float,
-                           cfg: QuadratureConfig | None = None) -> float:
+def resolvent_density_quad(model: LevyModel, q: float, x: float) -> float:
     """r_q(x) by Fourier quadrature, the reference of :func:`resolvent_density`.
 
     Nonnegative, maximal at x = 0.  Raises :class:`QuadratureError` when
     the panel budget cannot reach the requested tolerance and
     :class:`ConditionAError` when the kernel is not integrable.
     """
-    cfg = cfg or _DEFAULT_QUAD
     _finite_point(x)
     _condition_a_guard(model, q)
     if x == 0.0:
-        return _r0(model, q, cfg)
+        return _r0(model, q)
     # r_q is even for symmetric models: one entry serves x and -x
-    return _density(model, q, abs(x) if model.symmetric else x, cfg)
+    return _density(model, q, abs(x) if model.symmetric else x)
 
 
 @functools.lru_cache(maxsize=_DENSITY_CACHE_SIZE)
-def _density(model: LevyModel, q: float, x: float, cfg: QuadratureConfig) -> float:
+def _density(model: LevyModel, q: float, x: float) -> float:
     """r_q(x) for x != 0 by weighted Fourier quadrature, escalated when tiny."""
-    r0 = _r0(model, q, cfg)
+    r0 = _r0(model, q)
     a_part, b_part = _kernel_parts(model, q)
     ax = abs(x)
-    val = _quad_checked(a_part, 0.0, np.inf, cfg, weight="cos", wvar=ax)
+    val = _quad_checked(a_part, 0.0, np.inf, weight="cos", wvar=ax)
     if b_part is not None:
-        val += math.copysign(1.0, x) * _quad_checked(b_part, 0.0, np.inf, cfg,
+        val += math.copysign(1.0, x) * _quad_checked(b_part, 0.0, np.inf,
                                                      weight="sin", wvar=ax)
     val /= math.pi
     if abs(val) < _ESCALATE_REL * r0:
@@ -415,8 +381,7 @@ def _density(model: LevyModel, q: float, x: float, cfg: QuadratureConfig) -> flo
     return max(val, 0.0)
 
 
-def resolvent_gap(model: LevyModel, q: float, x: float,
-                  cfg: QuadratureConfig | None = None) -> float:
+def resolvent_gap(model: LevyModel, q: float, x: float) -> float:
     """Fused evaluation of r_q(0) - r_q(-x), nonnegative.
 
     Computed as (1/pi) int_0^inf Re[(1 - e^{i lam x}) / (q + psi)] dlam
@@ -425,14 +390,13 @@ def resolvent_gap(model: LevyModel, q: float, x: float,
     list forces subdivision at the q-dependent scale so the small-q
     feature near lam = 0 is never skipped.
     """
-    cfg = cfg or _DEFAULT_QUAD
     _finite_point(x)
     _condition_a_guard(model, q)
     if x == 0.0:
         return 0.0
     a_part, b_part = _kernel_parts(model, q)
     ax = abs(x)
-    cut = _auto_tail_cut(model, q, x, cfg)
+    cut = _auto_tail_cut(model, q, x)
     scale = model.small_freq_scale(q)
     pts = [p for p in (0.5 * scale, scale, 4 * scale, 16 * scale) if 0 < p < 0.9 * cut]
 
@@ -445,12 +409,12 @@ def resolvent_gap(model: LevyModel, q: float, x: float,
             s = math.sin(0.5 * lam * x)
             return 2.0 * s * s * a_part(lam) + math.sin(lam * x) * b_part(lam)
 
-    body = _quad_checked(fused, 0.0, cut, cfg, points=pts)
-    flat_tail = _quad_checked(a_part, cut, np.inf, cfg)
-    cos_tail = _quad_checked(a_part, cut, np.inf, cfg, weight="cos", wvar=ax)
+    body = _quad_checked(fused, 0.0, cut, points=pts)
+    flat_tail = _quad_checked(a_part, cut, np.inf)
+    cos_tail = _quad_checked(a_part, cut, np.inf, weight="cos", wvar=ax)
     val = body + flat_tail - cos_tail
     if b_part is not None:
-        val += math.copysign(1.0, x) * _quad_checked(b_part, cut, np.inf, cfg,
+        val += math.copysign(1.0, x) * _quad_checked(b_part, cut, np.inf,
                                                      weight="sin", wvar=ax)
     val /= math.pi
     if val < -1e-9:
@@ -458,10 +422,10 @@ def resolvent_gap(model: LevyModel, q: float, x: float,
     return max(val, 0.0)
 
 
-def _direct_symmetric_limit(model: LevyModel, x: float, cfg: QuadratureConfig) -> float:
+def _direct_symmetric_limit(model: LevyModel, x: float) -> float:
     """q = 0 gap integral (symmetric models only): (1/pi) int (1 - cos lam x)/psi."""
     ax = abs(x)
-    cut = _auto_tail_cut(model, 1e-8, x, cfg)
+    cut = _auto_tail_cut(model, 1e-8, x)
 
     def fused(lam):
         s = math.sin(0.5 * lam * ax)
@@ -470,49 +434,45 @@ def _direct_symmetric_limit(model: LevyModel, x: float, cfg: QuadratureConfig) -
     def flat(lam):
         return 1.0 / model.psi(lam)
 
-    body = _quad_checked(fused, 0.0, cut, cfg)
-    flat_tail = _quad_checked(flat, cut, np.inf, cfg)
-    cos_tail = _quad_checked(flat, cut, np.inf, cfg, weight="cos", wvar=ax)
+    body = _quad_checked(fused, 0.0, cut)
+    flat_tail = _quad_checked(flat, cut, np.inf)
+    cos_tail = _quad_checked(flat, cut, np.inf, weight="cos", wvar=ax)
     return (body + flat_tail - cos_tail) / math.pi
 
 
-def zero_resolvent_quad(model: LevyModel, x: float,
-                        cfg: QuadratureConfig | None = None,
-                        ext: ZeroLimitConfig | None = None) -> float:
+def zero_resolvent_quad(model: LevyModel, x: float) -> float:
     """Zero resolvent h(x) = lim_{q -> 0+} [r_q(0) - r_q(-x)] by quadrature.
 
     The reference that the closed forms of :func:`zero_resolvent` are
     tested against.  The limit is reached along the geometric sequence
-    q_k = q_start * q_ratio^k, stopping when two successive gap values
-    differ by less than ``stop_tol``.  For symmetric models the result
-    is cross-checked against the direct q = 0 integral and must agree
-    within ``10 * stop_tol``.
+    q_k = 0.25^k, stopping when two successive gap values differ by less
+    than 1e-7.  For symmetric models the result is cross-checked against
+    the direct q = 0 integral and must agree within 1e-6.
     """
     _finite_point(x)
     if x == 0.0:
         return 0.0
-    return _zero_resolvent_quad(model, x, cfg or _DEFAULT_QUAD, ext or _DEFAULT_LIMIT)
+    return _zero_resolvent_quad(model, x)
 
 
 @functools.lru_cache(maxsize=_H_CACHE_SIZE)
-def _zero_resolvent_quad(model: LevyModel, x: float, cfg: QuadratureConfig,
-                         ext: ZeroLimitConfig) -> float:
-    q = ext.q_start
+def _zero_resolvent_quad(model: LevyModel, x: float) -> float:
+    q = _Q_START
     prev = None
     val = None
-    for _ in range(ext.max_steps):
-        cur = resolvent_gap(model, q, x, cfg)
-        if prev is not None and abs(cur - prev) < ext.stop_tol:
+    for _ in range(_MAX_STEPS):
+        cur = resolvent_gap(model, q, x)
+        if prev is not None and abs(cur - prev) < _STOP_TOL:
             val = cur
             break
         prev = cur
-        q *= ext.q_ratio
+        q *= _Q_RATIO
     if val is None:
         raise ConvergenceError(
-            f"gap sequence did not stabilise within {ext.max_steps} steps at x={x}")
+            f"gap sequence did not stabilise within {_MAX_STEPS} steps at x={x}")
     if model.symmetric:
-        direct = _direct_symmetric_limit(model, x, cfg)
-        if abs(val - direct) > 10.0 * ext.stop_tol:
+        direct = _direct_symmetric_limit(model, x)
+        if abs(val - direct) > 10.0 * _STOP_TOL:
             raise CrossCheckError(
                 f"extrapolated limit {val:.10f} vs direct integral {direct:.10f} at x={x}")
     return val
@@ -590,18 +550,17 @@ def zero_resolvent(model: LevyModel, x: float) -> float:
     return float(zero_resolvent_fn(model)(x))
 
 
-def tilted_zero_resolvent(model: LevyModel, gamma: float, x, h=None):
+def tilted_zero_resolvent(model: LevyModel, gamma: float, x):
     """Directionally tilted zero resolvent h(x) + gamma * x / m2.
 
     The tilt vanishes identically when the second moment is infinite.
     Nonnegative for gamma in [-1, 1]; where the tilted sum is an exact
     zero (Brownian h(x) = -gamma x / m2) rounding can leave a negative of
     a few ulps of |x|, clamped to zero; a larger negative raises
-    :class:`ResolventError`.  Accepts a scalar or an array; ``h`` is the
-    model's :func:`zero_resolvent_fn` evaluator when the caller holds one.
+    :class:`ResolventError`.  Accepts a scalar or an array.
     """
     xs = np.asarray(x, dtype=float)
-    return _tilt(model, gamma, xs, (h or zero_resolvent_fn(model))(xs))
+    return _tilt(model, gamma, xs, zero_resolvent_fn(model)(xs))
 
 
 def _tilt(model: LevyModel, gamma: float, xs: np.ndarray, val):

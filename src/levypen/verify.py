@@ -28,6 +28,7 @@ path index).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -36,7 +37,7 @@ import numpy as np
 
 from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
-from .pathsim import MCConfig, PathPlan, walk_ensemble, walk_one  # noqa: F401
+from .pathsim import N_BATCHES, MCConfig, PathPlan, walk_ensemble, walk_one  # noqa: F401
 from .penalization import (UNWEIGHTED, DecayRateEstimate, PenalizationParams,
                            estimate_decay_rate, inverse_clock_value,
                            local_time_until_either_hit, local_time_until_hit,
@@ -134,20 +135,26 @@ def _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta) -> Ch
                        metadata=meta)
 
 
-def _batch_stderr(values: np.ndarray, n_batches: int) -> float:
-    means = values.reshape(n_batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+def _batch_stderr(num: np.ndarray, den: np.ndarray | None = None,
+                  rhs: np.ndarray | None = None) -> float:
+    """Batch stderr of sum(num)/sum(den) - mean(rhs) over N_BATCHES path blocks.
 
+    The blocks are contiguous in path index.  ``den`` defaults to ones (the
+    plain mean of ``num``) and ``rhs`` to none; a batch whose denominator
+    sums to zero drops, and fewer than two batches left give inf.
+    """
+    def batch_sums(values):
+        return values.reshape(N_BATCHES, -1).sum(axis=1)
 
-def _ratio_batch_stderr(num: np.ndarray, den: np.ndarray, n_batches: int) -> float:
-    """Batch stderr of sum(num)/sum(den); batches with empty denominators drop."""
-    ns = num.reshape(n_batches, -1).sum(axis=1)
-    ds = den.reshape(n_batches, -1).sum(axis=1)
+    ns = batch_sums(num)
+    ds = batch_sums(np.ones_like(num) if den is None else den)
     ok = ds > 0
     if ok.sum() < 2:
         return math.inf
-    ratios = ns[ok] / ds[ok]
-    return float(ratios.std(ddof=1) / math.sqrt(ok.sum()))
+    diffs = ns[ok] / ds[ok]
+    if rhs is not None:
+        diffs = diffs - rhs.reshape(N_BATCHES, -1).mean(axis=1)[ok]
+    return float(diffs.std(ddof=1) / math.sqrt(ok.sum()))
 
 
 def _params_meta(params: PenalizationParams) -> dict:
@@ -159,27 +166,26 @@ def _params_meta(params: PenalizationParams) -> dict:
 # ---------------------------------------------------------------------------
 # expected-local-time identities
 
-def _exposure_identity(model, mc, plan, target, tol_extra, name, seed_tag, meta_extra):
+def _exposure_identity(model, mc, plan, target, tol_extra, name, tag, meta_extra):
     n = mc.n_paths
     exposure = np.empty(n)
     death = np.empty(n)
     for i, rec in enumerate(walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed,
-                                          seed_tag, n)):
+                                          tag, n)):
         exposure[i] = rec.final.local_times[0]
         death[i] = 1.0 if rec.stopped else 0.0
     deaths = death.sum()
     if deaths == 0:
         raise RuntimeError("no path hit the target levels within the horizon")
     estimate = exposure.sum() / deaths
-    stderr = _ratio_batch_stderr(exposure, death, mc.n_batches)
+    stderr = _batch_stderr(exposure, death)
     censored = 1.0 - deaths / n
     meta = _meta(model, mc, estimator="exposure-rate", **meta_extra)
     return _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta)
 
 
 def check_identity_local_time_until_hit(model: LevyModel, a: float, mc: MCConfig,
-                                        tol_extra: float | None = None,
-                                        seed_tag: int = _TAG_HB) -> CheckReport:
+                                        tol_extra: float | None = None) -> CheckReport:
     """E_0[L^0 until hitting a] against the closed form h(a) + h(-a)."""
     if a == 0.0:
         raise ValueError("the hit level must differ from the origin")
@@ -189,13 +195,12 @@ def check_identity_local_time_until_hit(model: LevyModel, a: float, mc: MCConfig
     plan = PathPlan(tracked_levels=(0.0,), hit_levels=(a,), stop_hit_levels=(a,))
     extra = {"a": a, "h_crosscheck": H_CLOSED_FORM[model.kind]}
     return _exposure_identity(model, mc, plan, target, tol_extra,
-                              "identity:local-time-until-hit", seed_tag, extra)
+                              "identity:local-time-until-hit", _TAG_HB, extra)
 
 
 def check_identity_local_time_until_either_hit(model: LevyModel, a: float, b: float,
                                                mc: MCConfig,
-                                               tol_extra: float | None = None,
-                                               seed_tag: int = _TAG_HC) -> CheckReport:
+                                               tol_extra: float | None = None) -> CheckReport:
     """E_0[L^0 until hitting a or b] against the corrected two-point formula."""
     if a == b or a == 0.0 or b == 0.0:
         raise ValueError("levels must be distinct and away from the origin")
@@ -204,13 +209,12 @@ def check_identity_local_time_until_either_hit(model: LevyModel, a: float, b: fl
         tol_extra = 0.01 * target
     plan = PathPlan(tracked_levels=(0.0,), hit_levels=(a, b), stop_hit_levels=(a, b))
     return _exposure_identity(model, mc, plan, target, tol_extra,
-                              "identity:local-time-until-either-hit", seed_tag,
+                              "identity:local-time-until-either-hit", _TAG_HC,
                               {"a": a, "b": b})
 
 
 def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
-                             mc: MCConfig, tol_extra: float | None = None,
-                             seed_tag: int = _TAG_LAPLACE) -> CheckReport:
+                             mc: MCConfig, tol_extra: float | None = None) -> CheckReport:
     """E_0[exp(-q eta_l^0)] against exp(-l / r_q(0)).
 
     Censored paths contribute zero; their true contribution is below
@@ -226,14 +230,14 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
     vals = np.zeros(n)
     censored = 0
     for i, rec in enumerate(walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed,
-                                          seed_tag, n)):
+                                          _TAG_LAPLACE, n)):
         got = rec.crossings.get(level_budget)
         if got is None:
             censored += 1
         else:
             vals[i] = math.exp(-q * got.step * mc.grid.dt)
     estimate = vals.mean()
-    stderr = _batch_stderr(vals, mc.n_batches)
+    stderr = _batch_stderr(vals)
     meta = _meta(model, mc, q=q, level_budget=level_budget,
                  censored_bias_bound=math.exp(-q * mc.grid.horizon) * censored / n,
                  estimator="mean-with-censored-as-zero")
@@ -259,10 +263,64 @@ def _weight_plan_levels(params: PenalizationParams):
     return tracked, hit
 
 
+class _Reference(NamedTuple):
+    """Closed-form martingale a check compares against.
+
+    Its value in a walked state is ``factor`` at the state's position
+    times ``local`` of the state.  Walks keep the position and the
+    scalar ``local`` per path; ``factor`` takes all positions in one call.
+    """
+
+    params: PenalizationParams   # the penalization it weighs with
+    start: float                 # its value at x0
+    factor: Callable             # positions -> position factors, vectorized
+    local: Callable              # (plan, state) -> the local-time side
+    meta: dict                   # report fields it adds
+
+
+def _factor_reference(model: LevyModel, params: PenalizationParams, x0: float) -> _Reference:
+    """Position factor at X_t times the weight at t."""
+    h = zero_resolvent_cached_fn(model)
+
+    def factor(xs):
+        return martingale_factor(model, params, xs, h=h)
+    return _Reference(params, float(factor(x0)), factor,
+                      functools.partial(path_weight, params.rates), {})
+
+
+def _local_time_reference(params: PenalizationParams, c: float,
+                          rate: DecayRateEstimate) -> _Reference:
+    """exp(L_t^c * rate) times the weight at t, with the decay-rate estimate."""
+    def local(plan, state):
+        return inverse_clock_value(params.rates, plan, c, rate.estimate, state)
+    return _Reference(params, 1.0, np.ones_like, local,
+                      {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
+
+
+def _snapshot_reports(name, model, x0, t_grid, mc, plan, ref, tag, tol_extra, censored,
+                      **meta_extra) -> list[CheckReport]:
+    """The reference's ensemble mean at each snapshot time against its start value."""
+    steps = plan.snapshot_steps
+    xs = np.empty((len(steps), mc.n_paths))
+    local = np.empty((len(steps), mc.n_paths))
+    for i, rec in enumerate(walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, tag,
+                                          mc.n_paths)):
+        for j, s in enumerate(steps):
+            snap = rec.snapshots[s]
+            xs[j, i] = snap.x
+            local[j, i] = ref.local(plan, snap)
+    reports = []
+    for t, x, lt in zip(t_grid, xs, local):
+        values = ref.factor(x) * lt
+        meta = _meta(model, mc, t=t, x0=x0, **meta_extra, **ref.meta)
+        reports.append(_finish(f"{name}:t={t}", values.mean(), _batch_stderr(values),
+                               ref.start, tol_extra, censored, mc, meta))
+    return reports
+
+
 def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
                      x0: float, mc: MCConfig,
-                     tol_extra: float | None = None,
-                     seed_tag: int = _TAG_MARTINGALE) -> list[CheckReport]:
+                     tol_extra: float | None = None) -> list[CheckReport]:
     """E_x0[factor(X_t) * weight_t] against factor(x0), one report per t.
 
     Requires a start with a positive factor; a vanishing factor means no
@@ -271,45 +329,25 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("martingale check needs a genuine weight regime")
-    h = zero_resolvent_cached_fn(model)
-    target = float(martingale_factor(model, params, x0, h=h))
-    if target <= 0.0:
+    ref = _factor_reference(model, params, x0)
+    if ref.start <= 0.0:
         raise DegenerateStartError(
             f"martingale factor vanishes at x0={x0}; pick an admissible start")
     if tol_extra is None:
-        tol_extra = 0.03 * target
+        tol_extra = 0.03 * ref.start
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
     tracked, hit = _weight_plan_levels(params)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
-
-    n = mc.n_paths
-    weights = np.empty((len(steps), n))
-    positions = np.empty((len(steps), n))
-    for i, rec in enumerate(walk_ensemble(model, x0, mc.grid, plan, mc.master_seed,
-                                          seed_tag, n)):
-        for j, s in enumerate(steps):
-            snap = rec.snapshots[s]
-            weights[j, i] = path_weight(params.rates, plan, snap)
-            positions[j, i] = snap.x
-
-    reports = []
-    for j, t in enumerate(t_grid):
-        prod = martingale_factor(model, params, positions[j], h=h) * weights[j]
-        estimate = prod.mean()
-        stderr = _batch_stderr(prod, mc.n_batches)
-        meta = _meta(model, mc, params=_params_meta(params), t=t, x0=x0,
-                     start_factor=target)
-        reports.append(_finish(f"martingale:t={t}", estimate, stderr, target,
-                               tol_extra, 0.0, mc, meta))
-    return reports
+    return _snapshot_reports("martingale", model, x0, t_grid, mc, plan, ref,
+                             _TAG_MARTINGALE, tol_extra, 0.0,
+                             params=_params_meta(params), start_factor=ref.start)
 
 
 def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: float,
                                    lambda_a: float, lambda_b: float, t_grid,
-                                   x0: float, mc: MCConfig, u0: float = 1.0,
+                                   x0: float, mc: MCConfig,
                                    rate: DecayRateEstimate | None = None,
-                                   tol_extra: float = 0.05,
-                                   seed_tag: int = _TAG_INV_CLOCK) -> list[CheckReport]:
+                                   tol_extra: float = 0.05) -> list[CheckReport]:
     """Mean of exp(L_t^c * rate) * weight_t against its unit start value.
 
     The decay rate is estimated first (or injected); a failure here
@@ -317,31 +355,17 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     """
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
     if rate is None:
-        rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc, u0=u0)
+        rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc)
     params = PenalizationParams(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
     tracked, hit = _weight_plan_levels(params)
-    tracked = tuple(sorted(set(tracked) | {c}))
-    plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
-
-    n = mc.n_paths
-    vals = np.empty((len(steps), n))
-    for i, rec in enumerate(walk_ensemble(model, x0, mc.grid, plan, mc.master_seed,
-                                          seed_tag, n)):
-        for j, s in enumerate(steps):
-            vals[j, i] = inverse_clock_value(params.rates, plan, c, rate.estimate,
-                                             rec.snapshots[s])
-
-    reports = []
-    for j, t in enumerate(t_grid):
-        estimate = vals[j].mean()
-        stderr = _batch_stderr(vals[j], mc.n_batches)
-        meta = _meta(model, mc, a=a, b=b, c=c, lambda_a=lambda_a, lambda_b=lambda_b,
-                     t=t, x0=x0, rate_estimate=rate.estimate, rate_stderr=rate.stderr,
-                     rate_residuals=list(rate.residuals),
-                     rate_censored_fraction=rate.censored_fraction)
-        reports.append(_finish(f"inverse-clock-martingale:t={t}", estimate, stderr,
-                               1.0, tol_extra, rate.censored_fraction, mc, meta))
-    return reports
+    plan = PathPlan(tracked_levels=tuple(sorted({*tracked, c})), hit_levels=hit,
+                    snapshot_steps=steps)
+    return _snapshot_reports("inverse-clock-martingale", model, x0, t_grid, mc, plan,
+                             _local_time_reference(params, c, rate), _TAG_INV_CLOCK,
+                             tol_extra, rate.censored_fraction,
+                             a=a, b=b, c=c, lambda_a=lambda_a, lambda_b=lambda_b,
+                             rate_residuals=list(rate.residuals),
+                             rate_censored_fraction=rate.censored_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +400,6 @@ class ClippedIdentity:
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
 
-class _Reference(NamedTuple):
-    """Closed-form martingale a limit check compares against."""
-
-    params: PenalizationParams   # the penalization with the family's tilt
-    start: float                 # its value at x0
-    value: Callable              # (plan, states) -> its values in walked states
-    meta: dict                   # report fields it adds
-
-
 class _ClockFamily:
     """Behaviour shared by the clock families of the limit check.
 
@@ -414,20 +429,12 @@ class _ClockFamily:
         return min(states, key=lambda st: st.step) if states else rec.clock_state
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
-        params_eff = replace(params, gamma=self.gamma_eff)
-        h = zero_resolvent_cached_fn(model)
-        m0 = float(martingale_factor(model, params_eff, x0, h=h))
-        if m0 <= 0.0:
+        ref = _factor_reference(model, replace(params, gamma=self.gamma_eff), x0)
+        if ref.start <= 0.0:
             raise DegenerateStartError(
                 f"limit martingale starts at zero from x0={x0} toward "
                 f"gamma={self.gamma_eff}; the theorem presumes a positive start")
-
-        def value(plan, states):
-            # one factor call on every position; the weights stay scalar
-            xs = np.array([st.x for st in states])
-            weights = np.array([path_weight(params.rates, plan, st) for st in states])
-            return martingale_factor(model, params_eff, xs, h=h) * weights
-        return _Reference(params_eff, m0, value, {})
+        return ref
 
 
 def _one_signed_levels(cs) -> bool:
@@ -589,19 +596,13 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
         if rate is None:
             rate = estimate_decay_rate(model, params.a, params.b, self.c,
                                        params.lambda_a, params.lambda_b, mc)
-
-        def value(plan, states):
-            return np.array([inverse_clock_value(params.rates, plan, self.c,
-                                                 rate.estimate, st) for st in states])
-        return _Reference(params, 1.0, value,
-                          {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
+        return _local_time_reference(params, self.c, rate)
 
 
 def check_penalization_limit(model: LevyModel, params: PenalizationParams,
                              clock_family, functional, t: float, x0: float,
                              mc: MCConfig, tol_extra: float | None = None,
-                             rate: DecayRateEstimate | None = None,
-                             seed_tag: int = _TAG_LIMIT) -> list[CheckReport]:
+                             rate: DecayRateEstimate | None = None) -> list[CheckReport]:
     """Weighted-ratio convergence check for one clock family.
 
     For each clock parameter the simulated conditioned ratio
@@ -616,7 +617,7 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("limit check needs a genuine weight regime")
-    if t > mc.grid.horizon + 1e-12:
+    if not 0.0 <= t <= mc.grid.horizon + 1e-12:
         raise ValueError("the functional time must lie within the horizon")
     ref = clock_family.reference(model, params, x0, mc, rate)
     t_step = int(round(t / mc.grid.dt))
@@ -625,14 +626,14 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     for k, clock_param in enumerate(schedule):
         lhs_num, lhs_den, rhs, censored = _limit_ensemble(
             model, params, clock_family, clock_param, functional,
-            t_step, x0, mc, ref, seed_tag + k)
+            t_step, x0, mc, ref, _TAG_LIMIT + k)
         resolved = lhs_den.sum()
         if resolved == 0:
             raise RuntimeError(
                 f"no path resolved the clock comparison at parameter {clock_param}")
         lhs = lhs_num.sum() / resolved
         rhs_mean = rhs.mean()
-        stderr = _paired_ratio_stderr(lhs_num, lhs_den, rhs, mc.n_batches)
+        stderr = _batch_stderr(lhs_num, lhs_den, rhs)
         te = 0.05 * max(abs(rhs_mean), 0.1) if tol_extra is None else tol_extra
         meta = _meta(model, mc, params=_params_meta(ref.params),
                      clock=clock_family.meta(clock_param),
@@ -669,14 +670,17 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
     lhs_num = np.zeros(n)
     lhs_den = np.zeros(n)
     f_t = np.empty(n)
-    snaps = []
+    xs = np.empty(n)
+    local = np.empty(n)
     censored = 0
     records = walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, tag, n,
                             lambda rng: family.draw_step(rng, clock_param, mc.grid.dt))
     for i, rec in enumerate(records):
-        # reference side, evaluated on all paths after the walks
-        snaps.append(rec.snapshots[t_step])
-        f_t[i] = float(functional(snaps[-1].x))
+        # reference side: the local-time part now, the factor after the walks
+        snap = rec.snapshots[t_step]
+        xs[i] = snap.x
+        local[i] = ref.local(plan, snap)
+        f_t[i] = float(functional(snap.x))
 
         # conditioned side: weight at the clock time
         clock = family.rung(rec, clock_param)
@@ -690,16 +694,6 @@ def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, 
         lhs_den[i] = w_clock
 
     # closed-form martingale value at t over the reference's start value
-    rhs = f_t * ref.value(plan, snaps) / ref.start
+    rhs = f_t * (ref.factor(xs) * local) / ref.start
     return lhs_num, lhs_den, rhs, censored / n
 
-
-def _paired_ratio_stderr(lhs_num, lhs_den, rhs, n_batches) -> float:
-    ns = lhs_num.reshape(n_batches, -1).sum(axis=1)
-    ds = lhs_den.reshape(n_batches, -1).sum(axis=1)
-    rs = rhs.reshape(n_batches, -1).mean(axis=1)
-    ok = ds > 0
-    if ok.sum() < 2:
-        return math.inf
-    diffs = ns[ok] / ds[ok] - rs[ok]
-    return float(diffs.std(ddof=1) / math.sqrt(ok.sum()))

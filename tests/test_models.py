@@ -102,8 +102,8 @@ def test_empirical_characteristic_function(model):
 
 def test_sample_increment_scalar():
     rng = np.random.default_rng(5)
-    v = models.sample_increment(BM, 0.01, rng)
-    assert isinstance(v, float)
+    v = BM.sample_increments(rng, 0.01, 1)
+    assert v.shape == (1,) and v.dtype == float
     with pytest.raises(ValueError):
         BM.sample_increments(rng, -1.0, 3)
 

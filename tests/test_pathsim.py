@@ -89,6 +89,12 @@ def test_mcconfig_rejects_bad_z(z):
         pathsim.MCConfig(n_paths=100, master_seed=1, grid=grid, z=z)
 
 
+def test_mcconfig_needs_whole_batches():
+    grid = SimGrid(dt=1e-3, horizon=1.0)
+    with pytest.raises(ValueError, match="n_paths must be a multiple of 50"):
+        pathsim.MCConfig(n_paths=120, master_seed=1, grid=grid)
+
+
 def test_simulate_path_initial_condition_and_determinism():
     grid = SimGrid(dt=1e-3, horizon=0.5)
     one = simulate_path(BM, 3.0, grid, (0.0,), path_stream(42, 0, 0))

@@ -297,7 +297,7 @@ def test_weight_value_matches_exponential(la, lb, l_a, l_b):
 
 def _mc(n=200, seed=17, dt=2e-3, horizon=20.0):
     return MCConfig(n_paths=n, master_seed=seed, grid=SimGrid(dt=dt, horizon=horizon),
-                    censor_budget=0.5, n_batches=50)
+                    censor_budget=0.5)
 
 
 @given(u0=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
@@ -317,9 +317,10 @@ def test_decay_rate_zero_weights():
 
 
 def test_decay_rate_monotone_in_rate():
-    mc = _mc(n=1500, seed=23, dt=1e-3, horizon=60.0)
-    low = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0, mc)
-    high = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 2.0, 1.0, mc, seed_tag=402)
+    low = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0,
+                                  _mc(n=1500, seed=23, dt=1e-3, horizon=60.0))
+    high = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 2.0, 1.0,
+                                   _mc(n=1500, seed=24, dt=1e-3, horizon=60.0))
     spread = 3.0 * math.hypot(low.stderr, high.stderr)
     assert high.estimate >= low.estimate - spread
     assert low.estimate > 0

@@ -8,6 +8,7 @@ the degenerate-case handling rather than the tight tolerances.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from levypen import models, pathsim, resolvent, verify
@@ -342,6 +343,33 @@ def test_limit_check_rejects_t_past_the_horizon_before_any_walk(monkeypatch):
     monkeypatch.setattr(verify, "estimate_decay_rate", no_walk)
     p = PenalizationParams(1.0, 2.0, 1.0, 1.0)
     fam = verify.LocalTimeBudgetClockFamily(c=0.0, us=(0.5, 1.0))
-    with pytest.raises(ValueError, match="within the horizon"):
-        verify.check_penalization_limit(BM, p, fam, verify.IndicatorAbove(2.0), 100.0, 0.0,
-                                        mc_small(n=100, dt=4e-3, horizon=60.0))
+    for t in (100.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="within the horizon"):
+            verify.check_penalization_limit(BM, p, fam, verify.IndicatorAbove(2.0), t, 0.0,
+                                            mc_small(n=100, dt=4e-3, horizon=60.0))
+
+
+def test_batch_stderr_is_the_batch_means_estimator():
+    rng = np.random.default_rng(5)
+    n = 50 * 40
+    num = rng.normal(size=n)
+    means = num.reshape(50, -1).mean(axis=1)
+    assert verify._batch_stderr(num) == float(means.std(ddof=1) / math.sqrt(50))
+    # the first three batches have empty denominators and drop
+    den = (rng.random(n) < 0.3).astype(float)
+    den[:3 * 40] = 0.0
+    rhs = rng.normal(size=n)
+    ns = (num * den).reshape(50, -1).sum(axis=1)
+    ds = den.reshape(50, -1).sum(axis=1)
+    assert (ds[3:] > 0).all()
+    ratios = ns[3:] / ds[3:]
+    assert (verify._batch_stderr(num * den, den)
+            == float(ratios.std(ddof=1) / math.sqrt(47)))
+    diffs = ratios - rhs.reshape(50, -1).mean(axis=1)[3:]
+    assert (verify._batch_stderr(num * den, den, rhs)
+            == float(diffs.std(ddof=1) / math.sqrt(47)))
+    # fewer than two batches with a denominator: no spread to measure
+    one = np.zeros(n)
+    one[:40] = 1.0
+    assert verify._batch_stderr(num, one) == math.inf
+    assert verify._batch_stderr(num, np.zeros(n), rhs) == math.inf
