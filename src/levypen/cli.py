@@ -29,7 +29,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import verify as vf
-from .models import LevyModel, brownian, check_condition_a, jump_diffusion, symmetric_stable
+from .models import LevyModel, brownian, jump_diffusion, symmetric_stable
 from .pathsim import MCConfig, SimGrid, path_stream, simulate_path
 from .penalization import (PenalizationParams, estimate_decay_rate,
                            martingale_factor, prob_hit_before,
@@ -156,9 +156,6 @@ def _suite_reports(cfg: RunConfig, selector: list[str]) -> list[vf.CheckReport]:
     model, p, mc = cfg.model, cfg.params, cfg.mc()
     reports: list[vf.CheckReport] = []
     if "identities" in selector:
-        diag = check_condition_a(model, 1.0)
-        if not diag.finite:
-            raise ConfigError("model fails the resolvent integrability gate")
         a = p.a if p.a != 0.0 else 1.0
         b = p.b if p.b not in (0.0, a) else -2.0
         reports.append(vf.check_identity_local_time_until_hit(model, a, mc))

@@ -37,8 +37,7 @@ class LevyModel:
     Instances are immutable and hashable so they can key caches of
     quadrature results.  Use the factory functions :func:`brownian`,
     :func:`symmetric_stable` and :func:`jump_diffusion` instead of the
-    constructor; they validate parameters and fill in the derived
-    fields (second moment, symmetry flag).
+    constructor; they validate parameters.
     """
 
     kind: str
@@ -47,8 +46,21 @@ class LevyModel:
     jump_rate: float = 0.0
     p_plus: float = 0.0
     p_minus: float = 0.0
-    m2: float = 0.0  # second moment of X_1; math.inf when infinite
-    symmetric: bool = True
+
+    @property
+    def m2(self) -> float:
+        """Second moment of X_1; math.inf when infinite."""
+        if self.kind == STABLE:
+            return 2.0 if self.alpha == 2.0 else math.inf
+        if self.kind == BROWNIAN:
+            return self.sigma**2
+        return self.sigma**2 + self.jump_rate * 2.0 / (self.p_plus * self.p_minus)
+
+    @property
+    def symmetric(self) -> bool:
+        """psi is real: no jumps, or jumps of one law in both directions."""
+        return (self.kind != JUMP_DIFFUSION or self.p_plus == self.p_minus
+                or self.jump_rate == 0.0)
 
     def psi(self, lam):
         """Characteristic exponent: E_0[exp(i lam X_t)] = exp(-t psi(lam)).
@@ -166,7 +178,7 @@ def brownian(sigma: float = 1.0) -> LevyModel:
     """Standard Brownian motion with volatility sigma > 0."""
     if not sigma > 0:
         raise ValueError(f"brownian volatility must be positive, got {sigma}")
-    return LevyModel(kind=BROWNIAN, sigma=float(sigma), m2=float(sigma) ** 2, symmetric=True)
+    return LevyModel(kind=BROWNIAN, sigma=float(sigma))
 
 
 def symmetric_stable(alpha: float) -> LevyModel:
@@ -179,8 +191,7 @@ def symmetric_stable(alpha: float) -> LevyModel:
     if not 1.0 < alpha <= 2.0:
         raise ValueError(
             f"stable index must satisfy 1 < alpha <= 2 (resolvent integrability), got {alpha}")
-    m2 = 2.0 if alpha == 2.0 else math.inf
-    return LevyModel(kind=STABLE, alpha=float(alpha), m2=m2, symmetric=True)
+    return LevyModel(kind=STABLE, alpha=float(alpha))
 
 
 def jump_diffusion(sigma: float, jump_rate: float, p_plus: float, p_minus: float) -> LevyModel:
@@ -198,10 +209,8 @@ def jump_diffusion(sigma: float, jump_rate: float, p_plus: float, p_minus: float
         raise ValueError(f"jump rate must be nonnegative, got {jump_rate}")
     if not (p_plus > 0 and p_minus > 0):
         raise ValueError("exponential jump rates must be positive")
-    m2 = sigma**2 + jump_rate * 2.0 / (p_plus * p_minus)
     return LevyModel(kind=JUMP_DIFFUSION, sigma=float(sigma), jump_rate=float(jump_rate),
-                     p_plus=float(p_plus), p_minus=float(p_minus), m2=m2,
-                     symmetric=(p_plus == p_minus) or jump_rate == 0.0)
+                     p_plus=float(p_plus), p_minus=float(p_minus))
 
 
 @dataclass(frozen=True)

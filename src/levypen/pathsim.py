@@ -83,6 +83,28 @@ _BLOCK_ELEMS = 1 << 14
 N_BATCHES = 50
 
 
+def _batch_stderr(num: np.ndarray, den: np.ndarray | None = None,
+                  rhs: np.ndarray | None = None) -> float:
+    """Batch stderr of sum(num)/sum(den) - mean(rhs) over N_BATCHES path blocks.
+
+    The blocks are contiguous in path index.  ``den`` defaults to ones (the
+    plain mean of ``num``) and ``rhs`` to none; a batch whose denominator
+    sums to zero drops, and fewer than two batches left give inf.
+    """
+    def batch_sums(values):
+        return values.reshape(N_BATCHES, -1).sum(axis=1)
+
+    ns = batch_sums(num)
+    ds = batch_sums(np.ones_like(num) if den is None else den)
+    ok = ds > 0
+    if ok.sum() < 2:
+        return math.inf
+    diffs = ns[ok] / ds[ok]
+    if rhs is not None:
+        diffs = diffs - rhs.reshape(N_BATCHES, -1).mean(axis=1)[ok]
+    return float(diffs.std(ddof=1) / math.sqrt(ok.sum()))
+
+
 @dataclass(frozen=True)
 class SimGrid:
     """Time step, horizon and occupation window of a simulation.
@@ -330,14 +352,15 @@ class PathPlan:
 
     The walker records the state at every snapshot step, at each
     local-time threshold crossing, at the first detection of every hit
-    level and at the personal clock step ``clock_step`` (e.g. an
-    exponential clock drawn per path) when the walk reaches them.
+    level and at a path's personal clock step (e.g. an exponential clock
+    drawn per path), which ``walk_block`` takes per row, when the walk
+    reaches them.
 
     Stops arm when any of three event kinds fires: detection of a level
     in ``stop_hit_levels``, the crossing of the last local-time
     threshold, or the clock step.  The walk halts at the first armed
     event, but never before the last snapshot step, so snapshots are
-    always taken on the live path.  A plan with none of these stop rules
+    always taken on the live path.  A walk with none of these stop rules
     ends with the chunk that holds its last snapshot step, or at the
     horizon when it takes no snapshot.
     """
@@ -348,7 +371,6 @@ class PathPlan:
     lt_level: float | None = None          # level whose local time is thresholded
     lt_thresholds: tuple = ()               # ascending; each crossing is recorded
     snapshot_steps: tuple = ()               # sorted global step indices
-    clock_step: int | None = None            # personal clock (records and arms)
 
     def __post_init__(self):
         if self.lt_thresholds and list(self.lt_thresholds) != sorted(self.lt_thresholds):
@@ -496,18 +518,16 @@ def walk_block(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan, strea
     it, in the order of a walk alone: the chunk's increments, then the
     bridge uniforms of its undetected hit levels, level by level.  So a
     row's record does not depend on the other rows or on the block's
-    size.  ``clock_steps``, when given, is each row's clock step in place
-    of ``plan.clock_step``.  Rows leave the block with the chunk in which
-    their walk ends; events (hits, threshold crossings, the clock) are
-    resolved row by row only in the chunk where they land.
+    size.  ``clock_steps``, when given, is each row's personal clock step
+    (None for a row without one).  Rows leave the block with the chunk in
+    which their walk ends; events (hits, threshold crossings, the clock)
+    are resolved row by row only in the chunk where they land.
     """
     horizon_step = grid.n_steps
     snaps = [s for s in plan.snapshot_steps if s <= horizon_step]
     arm_step = snaps[-1] if snaps else 0
-    if clock_steps is None:
-        clock_steps = [plan.clock_step] * len(streams)
     paths = []
-    for rng, clock in zip(streams, clock_steps):
+    for rng, clock in zip(streams, clock_steps or [None] * len(streams)):
         stops = bool(plan.stop_hit_levels or plan.lt_thresholds or clock is not None)
         # a clock beyond the horizon does not ring, but it still is a stop rule
         ring = NOT_HIT if clock is None or clock > horizon_step else clock

@@ -20,15 +20,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
-from .pathsim import N_BATCHES, MCConfig, PathPlan, WalkState, walk_ensemble, walk_one  # noqa: F401
-from .resolvent import _tilt, zero_resolvent_fn
+from .pathsim import (MCConfig, PathPlan, WalkState, _batch_stderr,  # noqa: F401
+                      walk_ensemble, walk_one)
+from .resolvent import _finite_point, _tilt, zero_resolvent_fn
 
 __all__ = [
     "PenalizationParams",
@@ -120,6 +120,7 @@ def local_time_until_hit(model: LevyModel, a: float) -> float:
     Zero exactly when a = 0.  Equality with the Monte Carlo occupation
     estimate is one of the harness identities.
     """
+    _finite_point(a)
     if a == 0.0:
         return 0.0
     h = zero_resolvent_cached_fn(model)
@@ -132,6 +133,7 @@ def local_time_until_either_hit(model: LevyModel, a: float, b: float, h=None) ->
     The corrected two-point formula; symmetric in (a, b) term by term,
     so swapped arguments produce the bit-identical value.
     """
+    _finite_point(a, b)
     if a == b:
         raise ValueError("points must be distinct")
     h = h or zero_resolvent_cached_fn(model)
@@ -151,6 +153,7 @@ def prob_hit_before(model: LevyModel, x, a: float, b: float, h=None):
     [0, 1].  The complement with swapped points sums to one exactly by
     construction.  Accepts scalar or array x.
     """
+    _finite_point(a, b)
     if a == b:
         raise ValueError("points must be distinct")
     h = h or zero_resolvent_cached_fn(model)
@@ -221,6 +224,17 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     return float(out) if scalar else out
 
 
+def _weight_plan_levels(params: PenalizationParams, *levels):
+    """(levels to track, levels to detect) for ``path_weight`` to weigh a walk.
+
+    A point with a finite rate is tracked and one with an infinite rate
+    detected; ``levels`` are tracked besides, e.g. a clock's level.
+    """
+    tracked = {*(p for p, lam in params.rates if 0 < lam < math.inf), *levels}
+    hit = tuple(sorted(p for p, lam in params.rates if lam == math.inf))
+    return tuple(sorted(tracked)), hit
+
+
 def path_weight(rates, plan: PathPlan, state: WalkState) -> float:
     """Local-time weight exp(-la L^a - lb L^b) of a walked path in a state.
 
@@ -277,45 +291,38 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     Simulates paths from c, records the weight at the inverse local
     times for u in {u0/2, u0, 2u0} (one ensemble, three crossings per
     path), and fits -log(mean weight) against u by weighted least
-    squares.  Batch means over path blocks provide the standard errors,
-    which makes the shared-path correlation between the three points
-    harmless.  Paths whose local time at c never reaches a threshold by
-    the horizon are dropped for that threshold and reported as censored.
+    squares.  The standard error of each mean is the batch stderr over
+    path blocks, which makes the shared-path correlation between the
+    three points harmless.  Paths whose local time at c never reaches a
+    threshold by the horizon are dropped for that threshold, from the
+    mean and from their batch, and reported as censored.
     """
-    if len({a, b, c}) != 3:
-        raise ValueError("the two points and the clock level must be distinct")
-    if lambda_a < 0 or lambda_b < 0:
-        raise ValueError("weight rates must be nonnegative")
+    params = PenalizationParams(a, b, lambda_a, lambda_b)
+    if not math.isfinite(c) or c in (a, b):
+        raise ValueError(f"clock level {c} must be finite and differ from both points")
     if not (math.isfinite(u0) and u0 > 0):
         raise ValueError(f"u0 must be finite and positive, got {u0}")
     u_grid = (0.5 * u0, u0, 2.0 * u0)
-    rates = ((a, lambda_a), (b, lambda_b))
-    finite = tuple(lv for lv, lam in rates if math.isfinite(lam))
-    plan = PathPlan(tracked_levels=tuple(sorted({*finite, c})),
-                    hit_levels=tuple(lv for lv, lam in rates if lam == math.inf),
-                    lt_level=c, lt_thresholds=u_grid)
+    tracked, hit = _weight_plan_levels(params, c)
+    plan = PathPlan(tracked_levels=tracked, hit_levels=hit, lt_level=c, lt_thresholds=u_grid)
 
     n = mc.n_paths
-    weights = np.full((3, n), np.nan)
+    weights, present = np.zeros((2, 3, n))   # weight and crossing indicator per u
     for i, rec in enumerate(walk_ensemble(model, c, mc.grid, plan, mc.master_seed,
                                           _TAG_DECAY, n)):
         for j, u in enumerate(u_grid):
             if u in rec.crossings:
-                weights[j, i] = path_weight(rates, plan, rec.crossings[u])
+                present[j, i] = 1.0
+                weights[j, i] = path_weight(params.rates, plan, rec.crossings[u])
 
-    present = ~np.isnan(weights)
-    survivors = tuple(int(np.nansum(weights[j] > 0)) for j in range(3))
+    survivors = tuple(int(np.count_nonzero(w)) for w in weights)
     if any(s == 0 for s in survivors):
         raise MCDegenerateError(
             f"all weights vanished at some local-time budget (survivors {survivors})")
     censored = 1.0 - float(present[2].mean())
 
-    means = np.array([np.nanmean(weights[j]) for j in range(3)])
-    batch = weights.reshape(3, N_BATCHES, -1)
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # batches with no survivors
-        bmeans = np.nanmean(batch, axis=2)
-        se = np.nanstd(bmeans, axis=1, ddof=1) / math.sqrt(N_BATCHES)
+    means = weights.sum(axis=1) / present.sum(axis=1)
+    se = np.array([_batch_stderr(w, p) for w, p in zip(weights, present)])
 
     y = -np.log(means)
     var_y = np.maximum((se / means) ** 2, 1e-30)

@@ -20,9 +20,9 @@ quadrature:
   the recurrent case, the fused integrand stays bounded, so the zero
   limit is reached by plain evaluation along a geometric q-sequence.
 
-Results that are provably tiny relative to the kernel scale are
-re-evaluated in arbitrary precision (mpmath) because float64 Fourier
-sums bottom out near 1e-11 of the integrand scale.
+A density below 1e-3 of r_q(0) is re-evaluated in arbitrary precision
+(mpmath): the float64 Fourier sum holds only an absolute tolerance there
+and bottoms out near 1e-11 of r_q(0).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "QuadratureError",
     "ConvergenceError",
     "CrossCheckError",
-    "ConditionAError",
     "resolvent_density",
     "resolvent_density_quad",
     "resolvent_gap",
@@ -67,10 +66,6 @@ class CrossCheckError(ResolventError):
     """Extrapolated limit disagrees with the symmetric direct integral."""
 
 
-class ConditionAError(ResolventError):
-    """Resolvent kernel not integrable for this model and q."""
-
-
 # tolerances and panel budget of one inversion integral
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-10
@@ -83,10 +78,13 @@ _Q_RATIO = 0.25
 _STOP_TOL = 1e-7
 _MAX_STEPS = 60
 
-# magnitude (relative to the kernel scale) below which float64 Fourier
-# quadrature cancels away; such values are recomputed in mpmath with the
-# digits the cancellation costs plus _MP_DIGITS, at most _MP_DPS
-_ESCALATE_REL = 1e-6
+# magnitude (relative to r_q(0)) below which float64 Fourier quadrature,
+# held to _ABS_TOL, loses relative accuracy; such values are recomputed in
+# mpmath with the digits the cancellation costs plus _MP_DIGITS, at most
+# _MP_DPS.  Below _NOISE_REL of r_q(0) the float64 value is itself noise
+# and cannot tell the digits the cancellation costs, so _MP_DPS are used
+_ESCALATE_REL = 1e-3
+_NOISE_REL = 1e-11
 _MP_DIGITS = 10
 _MP_DPS = 30
 
@@ -165,17 +163,15 @@ def _auto_tail_cut(model: LevyModel, q: float, x: float) -> float:
     return lam
 
 
-def _finite_point(x: float) -> None:
+def _finite_point(*xs: float) -> None:
     # a NaN or infinite position would reach QUADPACK's weighted rules
-    if not math.isfinite(x):
-        raise ValueError(f"position must be finite, got {x}")
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError(f"positions must be finite, got {', '.join(map(str, xs))}")
 
 
-def _condition_a_guard(model: LevyModel, q: float):
+def _positive_q(q: float) -> None:
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be positive and finite")
-    if not math.isfinite(model.tail_bound(q, 10.0)):
-        raise ConditionAError(f"kernel 1/(q + psi) not integrable for {model}")
 
 
 def _psi_mp(model: LevyModel, lam):
@@ -340,7 +336,7 @@ def resolvent_density(model: LevyModel, q: float, x: float) -> float:
     the test suite checks these forms against.
     """
     _finite_point(x)
-    _condition_a_guard(model, q)
+    _positive_q(q)
     if model.kind == "stable" and model.alpha < 2.0:
         return _stable_density(model.alpha, q, x)
     if model.kind == "jump-diffusion" and model.jump_rate > 0.0:
@@ -352,11 +348,10 @@ def resolvent_density_quad(model: LevyModel, q: float, x: float) -> float:
     """r_q(x) by Fourier quadrature, the reference of :func:`resolvent_density`.
 
     Nonnegative, maximal at x = 0.  Raises :class:`QuadratureError` when
-    the panel budget cannot reach the requested tolerance and
-    :class:`ConditionAError` when the kernel is not integrable.
+    the panel budget cannot reach the requested tolerance.
     """
     _finite_point(x)
-    _condition_a_guard(model, q)
+    _positive_q(q)
     if x == 0.0:
         return _r0(model, q)
     # r_q is even for symmetric models: one entry serves x and -x
@@ -376,8 +371,10 @@ def _density(model: LevyModel, q: float, x: float) -> float:
     val /= math.pi
     if abs(val) < _ESCALATE_REL * r0:
         # below the float64 cancellation floor of the Fourier sum
-        lost = math.log10(r0 / max(abs(val), 1e-20 * r0))
-        val = _density_mp(model, q, x, min(_MP_DPS, _MP_DIGITS + math.ceil(lost)))
+        dps = _MP_DPS
+        if abs(val) >= _NOISE_REL * r0:
+            dps = min(_MP_DPS, _MP_DIGITS + math.ceil(math.log10(r0 / abs(val))))
+        val = _density_mp(model, q, x, dps)
     return max(val, 0.0)
 
 
@@ -391,7 +388,7 @@ def resolvent_gap(model: LevyModel, q: float, x: float) -> float:
     feature near lam = 0 is never skipped.
     """
     _finite_point(x)
-    _condition_a_guard(model, q)
+    _positive_q(q)
     if x == 0.0:
         return 0.0
     a_part, b_part = _kernel_parts(model, q)

@@ -37,11 +37,11 @@ import numpy as np
 
 from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
-from .pathsim import N_BATCHES, MCConfig, PathPlan, walk_ensemble, walk_one  # noqa: F401
+from .pathsim import MCConfig, PathPlan, _batch_stderr, walk_ensemble, walk_one  # noqa: F401
 from .penalization import (UNWEIGHTED, DecayRateEstimate, PenalizationParams,
-                           estimate_decay_rate, inverse_clock_value,
-                           local_time_until_either_hit, local_time_until_hit,
-                           martingale_factor, path_weight,
+                           _weight_plan_levels, estimate_decay_rate,
+                           inverse_clock_value, local_time_until_either_hit,
+                           local_time_until_hit, martingale_factor, path_weight,
                            zero_resolvent_cached_fn)
 from .resolvent import H_CLOSED_FORM, resolvent_density
 
@@ -133,28 +133,6 @@ def _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta) -> Ch
                        target=float(target), tol_extra=float(tol_extra),
                        passed=bool(passed), censored_fraction=float(censored),
                        metadata=meta)
-
-
-def _batch_stderr(num: np.ndarray, den: np.ndarray | None = None,
-                  rhs: np.ndarray | None = None) -> float:
-    """Batch stderr of sum(num)/sum(den) - mean(rhs) over N_BATCHES path blocks.
-
-    The blocks are contiguous in path index.  ``den`` defaults to ones (the
-    plain mean of ``num``) and ``rhs`` to none; a batch whose denominator
-    sums to zero drops, and fewer than two batches left give inf.
-    """
-    def batch_sums(values):
-        return values.reshape(N_BATCHES, -1).sum(axis=1)
-
-    ns = batch_sums(num)
-    ds = batch_sums(np.ones_like(num) if den is None else den)
-    ok = ds > 0
-    if ok.sum() < 2:
-        return math.inf
-    diffs = ns[ok] / ds[ok]
-    if rhs is not None:
-        diffs = diffs - rhs.reshape(N_BATCHES, -1).mean(axis=1)[ok]
-    return float(diffs.std(ddof=1) / math.sqrt(ok.sum()))
 
 
 def _params_meta(params: PenalizationParams) -> dict:
@@ -251,16 +229,10 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
 def _snapshot_steps(t_grid, grid) -> tuple:
     """Sorted snapshot times and their grid steps, all within [0, horizon]."""
     t_grid = tuple(sorted(float(t) for t in t_grid))
-    if not t_grid or t_grid[0] < 0.0 or t_grid[-1] > grid.horizon + 1e-12:
-        raise ValueError("t grid must be nonempty and lie within [0, horizon]")
+    if not (t_grid and all(0.0 <= t <= grid.horizon + 1e-12 for t in t_grid)):
+        raise ValueError(f"t grid {t_grid} must be nonempty and lie within the "
+                         f"horizon [0, {grid.horizon}]")
     return t_grid, tuple(int(round(t / grid.dt)) for t in t_grid)
-
-
-def _weight_plan_levels(params: PenalizationParams):
-    """(levels tracked for finite rates, levels detected for infinite rates)."""
-    tracked = tuple(sorted(p for p, lam in params.rates if 0 < lam < math.inf))
-    hit = tuple(sorted(p for p, lam in params.rates if lam == math.inf))
-    return tracked, hit
 
 
 class _Reference(NamedTuple):
@@ -354,12 +326,11 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     indicts either that estimate or the martingale identity itself.
     """
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
+    params = PenalizationParams(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
     if rate is None:
         rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc)
-    params = PenalizationParams(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
-    tracked, hit = _weight_plan_levels(params)
-    plan = PathPlan(tracked_levels=tuple(sorted({*tracked, c})), hit_levels=hit,
-                    snapshot_steps=steps)
+    tracked, hit = _weight_plan_levels(params, c)
+    plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
     return _snapshot_reports("inverse-clock-martingale", model, x0, t_grid, mc, plan,
                              _local_time_reference(params, c, rate), _TAG_INV_CLOCK,
                              tol_extra, rate.censored_fraction,
@@ -588,8 +559,8 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
         if model.continuous_paths:
-            for point, lam in params.rates:
-                if lam == math.inf and min(x0, self.c) < point < max(x0, self.c):
+            for point in _weight_plan_levels(params)[1]:
+                if min(x0, self.c) < point < max(x0, self.c):
                     raise DegenerateStartError(
                         f"avoided point {point} lies between x0={x0} and the clock "
                         f"level c={self.c}: every path hits it before the clock rings")
@@ -617,10 +588,8 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("limit check needs a genuine weight regime")
-    if not 0.0 <= t <= mc.grid.horizon + 1e-12:
-        raise ValueError("the functional time must lie within the horizon")
+    _, (t_step,) = _snapshot_steps((t,), mc.grid)
     ref = clock_family.reference(model, params, x0, mc, rate)
-    t_step = int(round(t / mc.grid.dt))
     schedule = clock_family.schedule
     reports = []
     for k, clock_param in enumerate(schedule):
@@ -652,13 +621,11 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
 def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, mc,
                     ref, tag):
     """One clock parameter: per-path conditioned weight and reference value."""
-    finite_levels, avoid = _weight_plan_levels(params)
-    clock_hits = family.hit_levels(clock_param)
     lt_level, budget = family.lt_clock(clock_param) or (None, None)
-    tracked = set(finite_levels) if lt_level is None else {*finite_levels, lt_level}
-    hit_all = tuple(sorted({*avoid, *clock_hits}))
+    tracked, avoid = _weight_plan_levels(params, *([] if lt_level is None else [lt_level]))
+    hit_all = tuple(sorted({*avoid, *family.hit_levels(clock_param)}))
     plan = PathPlan(
-        tracked_levels=tuple(sorted(tracked)),
+        tracked_levels=tracked,
         hit_levels=hit_all,
         stop_hit_levels=hit_all,
         lt_level=lt_level,

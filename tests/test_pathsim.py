@@ -44,11 +44,11 @@ class FixedModel:
         return np.array(out)
 
 
-def walk_fixed(values, plan, dt=1.0, eps=1.0, gaussian=True):
+def walk_fixed(values, plan, dt=1.0, eps=1.0, gaussian=True, clock_step=None):
     """Walk the path through ``values`` (grid points 0..n) under a plan."""
     grid = SimGrid(dt=dt, horizon=dt * (len(values) - 1), eps=eps)
-    return walk_one(FixedModel(values, gaussian), float(values[0]), grid, plan,
-                    np.random.default_rng(0))
+    return pathsim.walk_block(FixedModel(values, gaussian), float(values[0]), grid, plan,
+                              [np.random.default_rng(0)], clock_steps=[clock_step])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +296,10 @@ class _StubStream:
 def test_realize_clock_exponential():
     family = verify.ExponentialClockFamily(qs=(2.0,))
     assert family.draw_step(_StubStream(0.75), 2.0, 0.25) == 3
-    rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,), clock_step=3))
+    rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,)), clock_step=3)
     assert family.rung(rec, 2.0).step == 3
     # a clock beyond the horizon does not ring: the path is censored
-    rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,), clock_step=99))
+    rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,)), clock_step=99)
     assert family.rung(rec, 2.0) is None
     with pytest.raises(ValueError):
         verify.ExponentialClockFamily(qs=(0.0,))
@@ -340,9 +340,9 @@ def test_clock_ordering_two_point_before_single():
 
 def test_walker_snapshots_and_clock_state():
     grid = SimGrid(dt=0.01, horizon=2.0)
-    plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(50, 150),
-                    clock_step=100)
-    rec = walk_one(BM, 0.0, grid, plan, path_stream(4, 9, 0))
+    plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(50, 150))
+    rec = pathsim.walk_block(BM, 0.0, grid, plan, [path_stream(4, 9, 0)],
+                             clock_steps=[100])[0]
     assert set(rec.snapshots) == {50, 150}
     assert rec.clock_state is not None and rec.clock_state.step == 100
     # the clock armed the stop but snapshots kept the walk alive to 150

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from levypen import models, pathsim, resolvent, verify
-from levypen.pathsim import MCConfig, SimGrid
+from levypen import penalization as pen
+from levypen.pathsim import MCConfig, PathPlan, SimGrid, walk_ensemble
 from levypen.penalization import PenalizationParams, estimate_decay_rate
 
 BM = models.brownian(1.0)
@@ -347,6 +348,84 @@ def test_limit_check_rejects_t_past_the_horizon_before_any_walk(monkeypatch):
         with pytest.raises(ValueError, match="within the horizon"):
             verify.check_penalization_limit(BM, p, fam, verify.IndicatorAbove(2.0), t, 0.0,
                                             mc_small(n=100, dt=4e-3, horizon=60.0))
+
+
+def _forbid_walks(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a path")
+    monkeypatch.setattr(pathsim, "walk_block", no_walk)
+    monkeypatch.setattr(verify, "walk_one", no_walk)
+    return no_walk
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+def test_non_finite_points_rejected_before_any_walk(bad, monkeypatch):
+    # h(nan) is nan and h(inf) inf: the closed forms returned nan, and the
+    # identity checks walked a whole ensemble against a nan target
+    _forbid_walks(monkeypatch)
+    mc = mc_small(n=100, dt=4e-3, horizon=60.0)
+    calls = (lambda: pen.local_time_until_hit(BM, bad),
+             lambda: pen.local_time_until_either_hit(BM, 1.0, bad),
+             lambda: pen.local_time_until_either_hit(BM, bad, 1.0),
+             lambda: pen.prob_hit_before(BM, 0.5, 1.0, bad),
+             lambda: pen.prob_hit_before(BM, 0.5, bad, 1.0),
+             lambda: verify.check_identity_local_time_until_hit(BM, bad, mc),
+             lambda: verify.check_identity_local_time_until_either_hit(BM, 1.0, bad, mc),
+             lambda: verify.check_identity_local_time_until_either_hit(BM, bad, 1.0, mc))
+    for call in calls:
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+
+
+def test_decay_rate_rejects_bad_points_and_rates_before_any_walk(monkeypatch):
+    # a NaN rate used to be dropped silently and (inf, 1) to fail only in
+    # the check after the whole decay walk
+    _forbid_walks(monkeypatch)
+    mc = mc_small(n=100, dt=4e-3, horizon=60.0)
+    for c, la, lb in ((0.0, math.nan, 1.0), (0.0, 1.0, math.nan), (math.nan, 1.0, 1.0),
+                      (INF, 1.0, 1.0), (-INF, 1.0, 1.0), (0.0, INF, 1.0)):
+        with pytest.raises(ValueError):
+            estimate_decay_rate(BM, 1.0, 2.0, c, la, lb, mc)
+    monkeypatch.setattr(verify, "estimate_decay_rate", _forbid_walks(monkeypatch))
+    with pytest.raises(ValueError, match=r"rate pair \(inf, 1.0\)"):
+        verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, INF, 1.0, (0.1,), 0.0, mc)
+
+
+def test_nan_in_the_t_grid_is_rejected_before_any_walk(monkeypatch):
+    # a NaN time used to reach int(round(nan)): "cannot convert float NaN"
+    monkeypatch.setattr(verify, "estimate_decay_rate", _forbid_walks(monkeypatch))
+    mc = mc_small(n=100, dt=4e-3, horizon=60.0)
+    p = PenalizationParams(1.0, 2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="t grid"):
+        verify.check_martingale(BM, p, (0.1, math.nan), 0.0, mc)
+    with pytest.raises(ValueError, match="t grid"):
+        verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, 1.0, 1.0, (math.nan,),
+                                              0.0, mc)
+    with pytest.raises(ValueError, match="t grid"):
+        verify.check_penalization_limit(BM, p, verify.ExponentialClockFamily(qs=(1.0,)),
+                                        verify.IndicatorAbove(2.0), math.nan, 0.0, mc)
+
+
+def test_decay_rate_stderr_is_the_batch_stderr_with_empty_batches():
+    # the `levypen estimate-h` run of brownian-1-2 in tools/outputs.py: two
+    # of the 50 batches have no path at u = 2, and the fit used to divide
+    # their spread by sqrt(50) all the same
+    mc = MCConfig(n_paths=200, master_seed=2024, grid=SimGrid(dt=1e-3, horizon=10.0))
+    est = estimate_decay_rate(BM, 0.0, 1.0, -1.0, 1.0, 2.0, mc)
+    rates = PenalizationParams(0.0, 1.0, 1.0, 2.0).rates
+    plan = PathPlan(tracked_levels=(-1.0, 0.0, 1.0), lt_level=-1.0,
+                    lt_thresholds=est.u_grid)
+    weights, present = np.zeros((3, 200)), np.zeros((3, 200))
+    for i, rec in enumerate(walk_ensemble(BM, -1.0, mc.grid, plan, 2024,
+                                          pen._TAG_DECAY, 200)):
+        for j, u in enumerate(est.u_grid):
+            if u in rec.crossings:
+                present[j, i] = 1.0
+                weights[j, i] = pen.path_weight(rates, plan, rec.crossings[u])
+    assert (present[2].reshape(50, -1).sum(axis=1) > 0).sum() == 48
+    for w, n, log_se in zip(weights, present, est.log_stderrs):
+        want = verify._batch_stderr(w, n) / (w.sum() / n.sum())
+        assert log_se == pytest.approx(want, rel=1e-12)
 
 
 def test_batch_stderr_is_the_batch_means_estimator():
