@@ -31,9 +31,9 @@ import numpy as np
 from . import verify as vf
 from .models import LevyModel, brownian, jump_diffusion, symmetric_stable
 from .pathsim import MCConfig, SimGrid, path_stream, simulate_path
-from .penalization import (PenalizationParams, estimate_decay_rate,
-                           martingale_factor, prob_hit_before,
-                           zero_resolvent_cached_fn)
+from .penalization import (MCDegenerateError, PenalizationParams,
+                           estimate_decay_rate, martingale_factor,
+                           prob_hit_before, zero_resolvent_cached_fn)
 from .resolvent import ResolventError, tilted_zero_resolvent, zero_resolvent
 
 EXIT_OK = 0
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
             cmd_estimate_h(cfg, args.u0, out_dir)
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, MCDegenerateError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResolventError as exc:

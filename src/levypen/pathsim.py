@@ -21,18 +21,21 @@ positions comes near costs neither rule anything.
 Every statistic is computed by the block walker (``walk_block`` under a
 ``PathPlan``; ``walk_one`` is its one-row form), which consumes the
 stepper's chunks without storing the paths, so ensembles never
-materialize whole trajectories.  Every state it records -- snapshots,
-threshold crossings, first detections, the clock step and the final
-state -- is a ``WalkState``.  A walk ends at its first armed stop event
-but never before its last snapshot; a plan with no stop rule ends with
-the chunk that holds its last snapshot; otherwise the walk runs to the
-horizon.  A row draws in the order of a walk alone (a chunk's
-increments, then the bridge uniforms of its undetected hit levels, level
-by level) and leaves the block with the chunk in which its walk ends, so
-a path's record and its stream's final state do not depend on the rows
-beside it or on the block's size.  ``walk_ensemble`` walks an ensemble
-in blocks sized to ``_BLOCK_ELEMS`` elements per chunk array and yields
-the records in path order.  ``simulate_path`` joins the same stepper's
+materialize whole trajectories.  It returns one ``PathRecord`` with a
+row per path: every state it records -- snapshots, threshold crossings,
+first detections, the clock step and the final state -- is a
+``WalkState`` of arrays, with ``step`` NOT_HIT in a row that did not
+record it, so checks read ensembles without a loop over paths.  A walk
+ends at its first armed stop event but never before its last snapshot;
+a plan with no stop rule ends with the chunk that holds its last
+snapshot; otherwise the walk runs to the horizon.  Paths walk in blocks
+of ``_BLOCK_ELEMS`` elements per chunk array; a row draws in the order
+of a walk alone (a chunk's increments, then the bridge uniforms of its
+undetected hit levels, level by level) and leaves its block with the
+chunk in which its walk ends, so a path's row and its stream's final
+state do not depend on the rows beside it or on the block's size.
+``walk_ensemble`` walks the paths of a seed and tag, row i for path i.
+``simulate_path`` joins the same stepper's
 chunks into a whole trajectory for the path dumps of the command line, so
 a dump is the path the walker walks on the same stream.  Every path owns
 a private stream derived from ``(master seed, tag, path index)``, which
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -383,32 +386,35 @@ class PathPlan:
 
 
 class WalkState(NamedTuple):
-    """A walked path at one grid step.
+    """Walked paths at one grid step each, one row per path.
 
-    ``local_times`` is ordered as the plan's tracked levels, ``hit_steps``
-    as its hit levels, with NOT_HIT for a level not detected by ``step``.
+    ``local_times`` (rows, tracked levels) is ordered as the plan's
+    tracked levels, ``hit_steps`` (rows, hit levels) as its hit levels,
+    with NOT_HIT for a level not detected by the row's ``step``.  A row
+    that did not record the state has ``step`` NOT_HIT, NaN position and
+    local times and no detection.
     """
 
-    step: int
-    x: float
+    step: np.ndarray
+    x: np.ndarray
     local_times: np.ndarray
     hit_steps: np.ndarray
 
 
-@dataclass
-class PathRecord:
-    """Per-path outcome of a walk: the states it recorded and its last one."""
+class PathRecord(NamedTuple):
+    """Outcome of a walk, one row per path: the states it recorded and its last one."""
 
     final: WalkState
-    stopped: bool                    # a stop rule fired at or before the horizon
-    snapshots: dict                  # step -> state
-    crossings: dict                  # threshold -> state
-    hit_states: dict                 # level -> state at first detection
-    clock_state: WalkState | None    # state at the clock step
+    stopped: np.ndarray              # a stop rule fired at or before the horizon
+    snapshots: dict                  # step -> states
+    crossings: dict                  # threshold -> states at its crossing
+    hit_states: dict                 # level -> states at first detection
+    clock_state: WalkState           # states at the clock step
 
     @property
     def final_step(self) -> int:
-        return self.final.step
+        """Steps walked, summed over rows."""
+        return int(self.final.step.sum())
 
 
 def path_stream(master_seed: int, tag: int, index: int) -> np.random.Generator:
@@ -503,152 +509,160 @@ class _Walk:
     end_step: int                    # the walk ends with the chunk holding this step
     stop_step: int                   # earliest armed stop event
     crossed: int = 0                 # local-time thresholds crossed so far
-    snapshots: dict = field(default_factory=dict)
-    crossings: dict = field(default_factory=dict)
-    hit_states: dict = field(default_factory=dict)
-    clock_state: WalkState | None = None
-    record: PathRecord | None = None
 
 
 def walk_block(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan, streams,
-               clock_steps=None) -> list[PathRecord]:
+               clock_steps=None) -> PathRecord:
     """Walk one path per stream under a plan, side by side, never storing them.
 
-    Row i of every chunk is the path of ``streams[i]`` and draws only from
-    it, in the order of a walk alone: the chunk's increments, then the
-    bridge uniforms of its undetected hit levels, level by level.  So a
-    row's record does not depend on the other rows or on the block's
-    size.  ``clock_steps``, when given, is each row's personal clock step
-    (None for a row without one).  Rows leave the block with the chunk in
-    which their walk ends; events (hits, threshold crossings, the clock)
-    are resolved row by row only in the chunk where they land.
+    Paths are walked in blocks of ``_BLOCK_ELEMS`` // (chunk length) rows,
+    which bounds a block's arrays whatever the grid.  Row i of every chunk
+    is the path of ``streams[i]`` and draws only from it, in the order of
+    a walk alone: the chunk's increments, then the bridge uniforms of its
+    undetected hit levels, level by level.  So a row's record does not
+    depend on the other rows or on the block's size.  ``clock_steps``,
+    when given, is each row's personal clock step (None for a row without
+    one).  Rows leave their block with the chunk in which their walk
+    ends.  Events (hits, threshold crossings, the clock) are resolved row
+    by row only in the chunk where they land, and a chunk writes every
+    state it records in one call per field of the record.
     """
+    return _walk(model, x0, grid, plan, len(streams),
+                 lambda lo, hi: (streams[lo:hi], clock_steps and clock_steps[lo:hi]))
+
+
+def _walk(model, x0, grid, plan, n, block_streams) -> PathRecord:
+    """``walk_block`` on n paths; ``block_streams(lo, hi)`` gives rows lo..hi-1's
+    streams and clock steps when their block starts."""
     horizon_step = grid.n_steps
     snaps = [s for s in plan.snapshot_steps if s <= horizon_step]
     arm_step = snaps[-1] if snaps else 0
-    paths = []
-    for rng, clock in zip(streams, clock_steps or [None] * len(streams)):
-        stops = bool(plan.stop_hit_levels or plan.lt_thresholds or clock is not None)
-        # a clock beyond the horizon does not ring, but it still is a stop rule
-        ring = NOT_HIT if clock is None or clock > horizon_step else clock
-        # a plan with no stop rule ends with the chunk of its last snapshot
-        paths.append(_Walk(rng, ring, arm_step if snaps and not stops else horizon_step,
-                           ring))
-
     hits, thresholds = plan.hit_levels, plan.lt_thresholds
+    # the states of every path at each event: row 0 of a field holds the
+    # final states, row 1 the clock, then the snapshots, the crossings and
+    # the hit levels in turn
+    cross_at = 2 + len(snaps)
+    hit_at = cross_at + len(thresholds)
+    n_events = hit_at + len(hits)
+    table = WalkState(np.full((n_events, n), NOT_HIT), np.full((n_events, n), np.nan),
+                      np.full((n_events, n, len(plan.tracked_levels)), np.nan),
+                      np.full((n_events, n, len(hits)), NOT_HIT))
+    stopped = np.zeros(n, bool)
     stop_ks = [k for k, lv in enumerate(hits) if lv in plan.stop_hit_levels]
     lt_idx = (plan.tracked_levels.index(plan.lt_level)
               if plan.lt_level is not None else -1)
+    block = max(1, _BLOCK_ELEMS // min(_CHUNK, horizon_step))
+    for start in range(0, n, block):
+        streams, clock_steps = block_streams(start, min(n, start + block))
+        # the paths still walking and their rows in the record; a finished
+        # path's row is dropped
+        walking, rows_of = [], np.arange(start, start + len(streams))
+        for rng, clock in zip(streams, clock_steps or [None] * len(streams)):
+            stops = bool(plan.stop_hit_levels or thresholds or clock is not None)
+            # a clock beyond the horizon does not ring, but it still is a stop rule
+            ring = NOT_HIT if clock is None or clock > horizon_step else clock
+            # a plan with no stop rule ends with the chunk of its last snapshot
+            walking.append(_Walk(rng, ring, arm_step if snaps and not stops else horizon_step,
+                                 ring))
+        x = np.full(len(walking), float(x0))
+        lt0 = np.zeros((len(walking), len(plan.tracked_levels)))
+        hit_steps = np.full((len(walking), len(hits)), NOT_HIT, dtype=np.int64)
+        for g in range(0, horizon_step, _CHUNK):
+            last = g + min(_CHUNK, horizon_step - g)
+            first = g + 1 if g else 0    # a chunk's first point ends the previous chunk
+            rngs = [w.rng for w in walking]
+            seg, span, lts_now = _step(model, x, grid, plan.tracked_levels, rngs, last - g)
+            # the states this chunk records: (event row, walking row, global step)
+            marks = []
 
-    # rows of the paths still walking; a finished path's row is dropped
-    walking = paths
-    x = np.full(len(paths), float(x0))
-    lt0 = np.zeros((len(paths), len(plan.tracked_levels)))
-    hit_steps = np.full((len(paths), len(hits)), NOT_HIT, dtype=np.int64)
+            # hit detection for levels not yet detected
+            for k, level in enumerate(hits):
+                found, idx = _detect_rows(seg, span, level, model, grid, rngs, hit_steps[:, k])
+                for r, i in zip(found, idx):
+                    step = g + int(i)
+                    hit_steps[r, k] = step
+                    marks.append((hit_at + k, r, step))
+                    if k in stop_ks:
+                        walking[r].stop_step = min(walking[r].stop_step, step)
 
-    def states(rows, steps):
-        """States of walking rows at global steps of the chunk in hand."""
-        rows, steps = np.array(rows), np.array(steps)
-        cols = steps - g
-        masked = hit_steps[rows]
-        masked[masked > steps[:, None]] = NOT_HIT
-        return [WalkState(s, v, lt, hs) for s, v, lt, hs in
-                zip(steps.tolist(), seg[rows, cols].tolist(),
-                    lt0[rows] + lts_now.gain()[rows, :, cols],
-                    masked)]
+            # local-time threshold crossings; the last one arms a stop.  Local
+            # time never falls, so a path crosses in this chunk iff its end does
+            if thresholds:
+                lt_end = (lt0[:, lt_idx] + lts_now.end()[:, lt_idx]).tolist()
+                for r, w in enumerate(walking):
+                    if w.crossed == len(thresholds) or not lt_end[r] > thresholds[w.crossed]:
+                        continue
+                    line = lt0[r, lt_idx] + lts_now.gain()[r, lt_idx, 1:]
+                    while w.crossed < len(thresholds):
+                        above = line > thresholds[w.crossed]
+                        if not above.any():
+                            break
+                        step = g + int(np.argmax(above)) + 1
+                        marks.append((cross_at + w.crossed, r, step))
+                        w.crossed += 1
+                        if w.crossed == len(thresholds):
+                            w.stop_step = min(w.stop_step, step)
 
-    for g in range(0, horizon_step, _CHUNK):
-        last = g + min(_CHUNK, horizon_step - g)
-        first = g + 1 if g else 0    # a chunk's first point ends the previous chunk
-        rngs = [w.rng for w in walking]
-        seg, span, lts_now = _step(model, x, grid, plan.tracked_levels, rngs, last - g)
-        # the states this chunk records, (row, step, where, key) for
-        # where[key] = state, built in one call once the events are known
-        marks, clock_at, final_at = [], {}, {}
-
-        # hit detection for levels not yet detected
-        for k, level in enumerate(hits):
-            rows, idx = _detect_rows(seg, span, level, model, grid, rngs, hit_steps[:, k])
-            for r, i in zip(rows, idx):
-                w, step = walking[r], g + int(i)
-                hit_steps[r, k] = step
-                marks.append((r, step, w.hit_states, float(level)))
-                if k in stop_ks:
-                    w.stop_step = min(w.stop_step, step)
-
-        # local-time threshold crossings; the last one arms a stop.  Local
-        # time never falls, so a path crosses in this chunk iff its end does
-        if thresholds:
-            lt_end = (lt0[:, lt_idx] + lts_now.end()[:, lt_idx]).tolist()
+            # snapshots due in this chunk, on every walking row: never past a
+            # stop, which waits for the last snapshot
+            for j, s in enumerate(snaps):
+                if first <= s <= last:
+                    marks += [(2 + j, r, s) for r in range(len(walking))]
+            ended = []
             for r, w in enumerate(walking):
-                if w.crossed == len(thresholds) or not lt_end[r] > thresholds[w.crossed]:
-                    continue
-                line = lt0[r, lt_idx] + lts_now.gain()[r, lt_idx, 1:]
-                while w.crossed < len(thresholds):
-                    above = line > thresholds[w.crossed]
-                    if not above.any():
-                        break
-                    step = g + int(np.argmax(above)) + 1
-                    marks.append((r, step, w.crossings, thresholds[w.crossed]))
-                    w.crossed += 1
-                    if w.crossed == len(thresholds):
-                        w.stop_step = min(w.stop_step, step)
+                # the personal clock, when the walk passes its step
+                if first <= w.clock_step <= last:
+                    marks.append((1, r, w.clock_step))
+                # the final state of a walk that ends in this chunk
+                stop_at = max(w.stop_step, arm_step)
+                if min(stop_at, w.end_step) <= last:
+                    ended.append(r)
+                    marks.append((0, r, min(stop_at, last)))
+                    stopped[rows_of[r]] = stop_at <= last
 
-        for r, w in enumerate(walking):
-            # the personal clock, when the walk passes its step
-            if first <= w.clock_step <= last:
-                marks.append((r, w.clock_step, clock_at, r))
-            # snapshots due in this chunk: never past a stop, which waits
-            # for the last snapshot
-            marks.extend((r, s, w.snapshots, s) for s in snaps if first <= s <= last)
-            # the final state of a walk that ends in this chunk
-            stop_at = max(w.stop_step, arm_step)
-            if min(stop_at, w.end_step) <= last:
-                marks.append((r, min(stop_at, last), final_at, r))
+            if marks:
+                events, rows, steps = (np.array(col) for col in zip(*marks))
+                masked = hit_steps[rows]
+                masked[masked > steps[:, None]] = NOT_HIT
+                at = (events, rows_of[rows])
+                table.step[at] = steps
+                table.x[at] = seg[rows, steps - g]
+                table.local_times[at] = lt0[rows] + lts_now.gain()[rows, :, steps - g]
+                table.hit_steps[at] = masked
 
-        if marks:
-            rows, steps, _, _ = zip(*marks)
-            for (_, _, where, key), st in zip(marks, states(rows, steps)):
-                where[key] = st
-        for r, st in clock_at.items():
-            walking[r].clock_state = st
-        for r, final in final_at.items():
-            w = walking[r]
-            w.record = PathRecord(final, max(w.stop_step, arm_step) <= last, w.snapshots,
-                                  w.crossings, w.hit_states, w.clock_state)
-
-        # paths whose walk ended leave the block
-        if final_at:
-            keep = [r for r in range(len(walking)) if r not in final_at]
+            # paths whose walk ended leave the block
+            keep = [r for r in range(len(walking)) if r not in ended]
             if not keep:
                 break
-            walking = [walking[r] for r in keep]
-            x, lt0, hit_steps = seg[keep, -1], lt0[keep] + lts_now.end()[keep], hit_steps[keep]
-        else:
-            x, lt0 = seg[:, -1], lt0 + lts_now.end()
-    return [w.record for w in paths]
+            walking, rows_of = [walking[r] for r in keep], rows_of[keep]
+            x, lt0 = seg[keep, -1], lt0[keep] + lts_now.end()[keep]
+            hit_steps = hit_steps[keep]
+
+    final, clock, *events = (WalkState(*fields) for fields in zip(*table))
+    return PathRecord(final, stopped, dict(zip(snaps, events)),
+                      dict(zip(thresholds, events[len(snaps):])),
+                      dict(zip(map(float, hits), events[len(snaps) + len(thresholds):])),
+                      clock)
 
 
 def walk_one(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
              rng: np.random.Generator) -> PathRecord:
     """Walk a single path under a plan: a block of one row."""
-    return walk_block(model, x0, grid, plan, [rng])[0]
+    return walk_block(model, x0, grid, plan, [rng])
 
 
 def walk_ensemble(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
-                  master_seed: int, tag: int, n_paths: int, draw_clock=None):
-    """Records of paths 0..n_paths-1 of ``(master_seed, tag)``, in index order.
+                  master_seed: int, tag: int, n_paths: int, draw_clock=None) -> PathRecord:
+    """Record of paths 0..n_paths-1 of ``(master_seed, tag)``, row i for path i.
 
     Path i draws from the stream of ``path_stream(master_seed, tag, i)``,
-    seeded from ``_seed_words``.  Paths are walked in blocks of
-    ``_BLOCK_ELEMS`` // (chunk length) rows, which bounds a block's arrays
-    whatever the grid.  ``draw_clock(rng)``, when given, draws a path's
-    clock step from its stream before its first chunk.
+    seeded from ``_seed_words``.  ``draw_clock(rng)``, when given, draws a
+    path's clock step from its stream before its first chunk.
     """
-    rows = max(1, _BLOCK_ELEMS // min(_CHUNK, grid.n_steps))
     seeds = _seed_words(master_seed, tag, n_paths)
-    for start in range(0, n_paths, rows):
+
+    def block_streams(lo, hi):
         streams = [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-                   for words in seeds[start:start + rows]]
-        clock_steps = None if draw_clock is None else [draw_clock(rng) for rng in streams]
-        yield from walk_block(model, x0, grid, plan, streams, clock_steps)
+                   for words in seeds[lo:hi]]
+        return streams, None if draw_clock is None else [draw_clock(rng) for rng in streams]
+    return _walk(model, x0, grid, plan, n_paths, block_streams)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
-from .pathsim import (MCConfig, PathPlan, WalkState, _batch_stderr,  # noqa: F401
-                      walk_ensemble, walk_one)
+from .pathsim import (NOT_HIT, MCConfig, PathPlan, WalkState,  # noqa: F401
+                      _batch_stderr, walk_ensemble, walk_one)
 from .resolvent import _finite_point, _tilt, zero_resolvent_fn
 
 __all__ = [
@@ -56,7 +56,7 @@ _H_FN_CACHE_SIZE = 64   # evaluators, one per model
 
 
 class MCDegenerateError(RuntimeError):
-    """Every sampled weight vanished; the estimator carries no signal."""
+    """No sampled path carries signal: every weight vanished or no path resolved."""
 
 
 @dataclass(frozen=True)
@@ -235,32 +235,40 @@ def _weight_plan_levels(params: PenalizationParams, *levels):
     return tuple(sorted(tracked)), hit
 
 
-def path_weight(rates, plan: PathPlan, state: WalkState) -> float:
-    """Local-time weight exp(-la L^a - lb L^b) of a walked path in a state.
+def path_weight(rates, plan: PathPlan, state: WalkState) -> np.ndarray:
+    """Local-time weight exp(-la L^a - lb L^b) of walked paths, one per row of a state.
 
     ``rates`` pairs each point with its rate, as ``PenalizationParams.rates``.
     A finite rate reads the occupation local time of its point from the
     state; an infinite rate is the exact indicator that its point was not
-    detected by the state's step.  Zero rates weigh 1.
+    detected by the row's step.  Zero rates weigh 1.
     """
     # scalar math.exp on purpose: np.exp differs from it in the last bit on
     # some inputs (SIMD builds), and reports are pinned to these bits
-    w = 1.0
+    w = np.ones(len(state.step))
     for point, lam in rates:
         if lam == math.inf:
-            if state.hit_steps[plan.hit_levels.index(point)] <= state.step:
-                return 0.0
+            w[state.hit_steps[:, plan.hit_levels.index(point)] <= state.step] = 0.0
         elif lam > 0:
-            w *= math.exp(-lam * state.local_times[plan.tracked_levels.index(point)])
+            w *= _exp(-lam * state.local_times[:, plan.tracked_levels.index(point)])
     return w
 
 
 def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float,
-                        state: WalkState) -> float:
+                        state: WalkState) -> np.ndarray:
     """exp(L^c * decay_rate) times the weight: the inverse-clock reference process."""
-    # scalar math.exp on purpose, as in path_weight
-    return (math.exp(state.local_times[plan.tracked_levels.index(c)] * decay_rate)
+    return (_exp(state.local_times[:, plan.tracked_levels.index(c)] * decay_rate)
             * path_weight(rates, plan, state))
+
+
+# scalar math.exp of each element, as path_weight needs
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _check_clock_level(c: float, a: float, b: float) -> None:
+    """Reject an inverse-local-time clock level that is not finite or is a penalized point."""
+    if not math.isfinite(c) or c in (a, b):
+        raise ValueError(f"clock level {c} must be finite and differ from both points")
 
 
 @dataclass(frozen=True)
@@ -298,22 +306,17 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     mean and from their batch, and reported as censored.
     """
     params = PenalizationParams(a, b, lambda_a, lambda_b)
-    if not math.isfinite(c) or c in (a, b):
-        raise ValueError(f"clock level {c} must be finite and differ from both points")
+    _check_clock_level(c, a, b)
     if not (math.isfinite(u0) and u0 > 0):
         raise ValueError(f"u0 must be finite and positive, got {u0}")
     u_grid = (0.5 * u0, u0, 2.0 * u0)
     tracked, hit = _weight_plan_levels(params, c)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, lt_level=c, lt_thresholds=u_grid)
 
-    n = mc.n_paths
-    weights, present = np.zeros((2, 3, n))   # weight and crossing indicator per u
-    for i, rec in enumerate(walk_ensemble(model, c, mc.grid, plan, mc.master_seed,
-                                          _TAG_DECAY, n)):
-        for j, u in enumerate(u_grid):
-            if u in rec.crossings:
-                present[j, i] = 1.0
-                weights[j, i] = path_weight(params.rates, plan, rec.crossings[u])
+    rec = walk_ensemble(model, c, mc.grid, plan, mc.master_seed, _TAG_DECAY, mc.n_paths)
+    states = [rec.crossings[u] for u in u_grid]
+    present = np.array([st.step != NOT_HIT for st in states], dtype=float)
+    weights = np.where(present, [path_weight(params.rates, plan, st) for st in states], 0.0)
 
     survivors = tuple(int(np.count_nonzero(w)) for w in weights)
     if any(s == 0 for s in survivors):

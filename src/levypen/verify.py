@@ -28,7 +28,6 @@ path index).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -37,8 +36,10 @@ import numpy as np
 
 from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
-from .pathsim import MCConfig, PathPlan, _batch_stderr, walk_ensemble, walk_one  # noqa: F401
-from .penalization import (UNWEIGHTED, DecayRateEstimate, PenalizationParams,
+from .pathsim import (NOT_HIT, MCConfig, PathPlan, WalkState, _batch_stderr,  # noqa: F401
+                      walk_ensemble, walk_one)
+from .penalization import (UNWEIGHTED, DecayRateEstimate, MCDegenerateError,
+                           PenalizationParams, _check_clock_level,
                            _weight_plan_levels, estimate_decay_rate,
                            inverse_clock_value, local_time_until_either_hit,
                            local_time_until_hit, martingale_factor, path_weight,
@@ -127,12 +128,11 @@ def _meta(model: LevyModel, mc: MCConfig, **extra) -> dict:
 
 
 def _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta) -> CheckReport:
-    passed = (abs(estimate - target) <= mc.z * stderr + tol_extra
-              and censored <= mc.censor_budget)
-    return CheckReport(name=name, estimate=float(estimate), stderr=float(stderr),
-                       target=float(target), tol_extra=float(tol_extra),
-                       passed=bool(passed), censored_fraction=float(censored),
-                       metadata=meta)
+    report = CheckReport(name=name, estimate=float(estimate), stderr=float(stderr),
+                         target=float(target), tol_extra=float(tol_extra), passed=False,
+                         censored_fraction=float(censored), metadata=meta)
+    report.passed = report.recompute_pass()
+    return report
 
 
 def _params_meta(params: PenalizationParams) -> dict:
@@ -145,19 +145,14 @@ def _params_meta(params: PenalizationParams) -> dict:
 # expected-local-time identities
 
 def _exposure_identity(model, mc, plan, target, tol_extra, name, tag, meta_extra):
-    n = mc.n_paths
-    exposure = np.empty(n)
-    death = np.empty(n)
-    for i, rec in enumerate(walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed,
-                                          tag, n)):
-        exposure[i] = rec.final.local_times[0]
-        death[i] = 1.0 if rec.stopped else 0.0
+    rec = walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed, tag, mc.n_paths)
+    exposure, death = rec.final.local_times[:, 0], rec.stopped.astype(float)
     deaths = death.sum()
     if deaths == 0:
-        raise RuntimeError("no path hit the target levels within the horizon")
+        raise MCDegenerateError("no path hit the target levels within the horizon")
     estimate = exposure.sum() / deaths
     stderr = _batch_stderr(exposure, death)
-    censored = 1.0 - deaths / n
+    censored = 1.0 - deaths / mc.n_paths
     meta = _meta(model, mc, estimator="exposure-rate", **meta_extra)
     return _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta)
 
@@ -205,15 +200,12 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
         tol_extra = 0.02 * target
     plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(level_budget,))
     n = mc.n_paths
+    steps = walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed, _TAG_LAPLACE,
+                          n).crossings[level_budget].step
+    crossed = steps != NOT_HIT
+    censored = n - int(crossed.sum())
     vals = np.zeros(n)
-    censored = 0
-    for i, rec in enumerate(walk_ensemble(model, 0.0, mc.grid, plan, mc.master_seed,
-                                          _TAG_LAPLACE, n)):
-        got = rec.crossings.get(level_budget)
-        if got is None:
-            censored += 1
-        else:
-            vals[i] = math.exp(-q * got.step * mc.grid.dt)
+    vals[crossed] = [math.exp(-q * s * mc.grid.dt) for s in steps[crossed].tolist()]
     estimate = vals.mean()
     stderr = _batch_stderr(vals)
     meta = _meta(model, mc, q=q, level_budget=level_budget,
@@ -238,15 +230,13 @@ def _snapshot_steps(t_grid, grid) -> tuple:
 class _Reference(NamedTuple):
     """Closed-form martingale a check compares against.
 
-    Its value in a walked state is ``factor`` at the state's position
-    times ``local`` of the state.  Walks keep the position and the
-    scalar ``local`` per path; ``factor`` takes all positions in one call.
+    ``value`` reads it off walked states, one value per row: the position
+    factor at each row's position times its local-time side.
     """
 
     params: PenalizationParams   # the penalization it weighs with
     start: float                 # its value at x0
-    factor: Callable             # positions -> position factors, vectorized
-    local: Callable              # (plan, state) -> the local-time side
+    value: Callable              # (plan, walked states) -> its value in each row
     meta: dict                   # report fields it adds
 
 
@@ -254,36 +244,29 @@ def _factor_reference(model: LevyModel, params: PenalizationParams, x0: float) -
     """Position factor at X_t times the weight at t."""
     h = zero_resolvent_cached_fn(model)
 
-    def factor(xs):
-        return martingale_factor(model, params, xs, h=h)
-    return _Reference(params, float(factor(x0)), factor,
-                      functools.partial(path_weight, params.rates), {})
+    def value(plan, state):
+        return (martingale_factor(model, params, state.x, h=h)
+                * path_weight(params.rates, plan, state))
+    return _Reference(params, float(martingale_factor(model, params, x0, h=h)), value, {})
 
 
 def _local_time_reference(params: PenalizationParams, c: float,
                           rate: DecayRateEstimate) -> _Reference:
     """exp(L_t^c * rate) times the weight at t, with the decay-rate estimate."""
-    def local(plan, state):
+    def value(plan, state):
         return inverse_clock_value(params.rates, plan, c, rate.estimate, state)
-    return _Reference(params, 1.0, np.ones_like, local,
+    return _Reference(params, 1.0, value,
                       {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
 
 
 def _snapshot_reports(name, model, x0, t_grid, mc, plan, ref, tag, tol_extra, censored,
                       **meta_extra) -> list[CheckReport]:
     """The reference's ensemble mean at each snapshot time against its start value."""
-    steps = plan.snapshot_steps
-    xs = np.empty((len(steps), mc.n_paths))
-    local = np.empty((len(steps), mc.n_paths))
-    for i, rec in enumerate(walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, tag,
-                                          mc.n_paths)):
-        for j, s in enumerate(steps):
-            snap = rec.snapshots[s]
-            xs[j, i] = snap.x
-            local[j, i] = ref.local(plan, snap)
+    rec = walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, tag, mc.n_paths)
     reports = []
-    for t, x, lt in zip(t_grid, xs, local):
-        values = ref.factor(x) * lt
+    for t, s in zip(t_grid, plan.snapshot_steps):
+        snap = rec.snapshots[s]
+        values = ref.value(plan, snap)
         meta = _meta(model, mc, t=t, x0=x0, **meta_extra, **ref.meta)
         reports.append(_finish(f"{name}:t={t}", values.mean(), _batch_stderr(values),
                                ref.start, tol_extra, censored, mc, meta))
@@ -327,6 +310,7 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     """
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
     params = PenalizationParams(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
+    _check_clock_level(c, a, b)
     if rate is None:
         rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc)
     tracked, hit = _weight_plan_levels(params, c)
@@ -392,12 +376,15 @@ class _ClockFamily:
         return None
 
     def rung(self, rec, param):
-        """State of a walked path when the clock rang, or None."""
+        """States of walked paths when the clock rang; step NOT_HIT where it did not."""
         lt_clock = self.lt_clock(param)
         if lt_clock is not None:
-            return rec.crossings.get(lt_clock[1])
-        states = [rec.hit_states[lv] for lv in self.hit_levels(param) if lv in rec.hit_states]
-        return min(states, key=lambda st: st.step) if states else rec.clock_state
+            return rec.crossings[lt_clock[1]]
+        states = [rec.hit_states[lv] for lv in self.hit_levels(param)]
+        if not states:
+            return rec.clock_state
+        first, rows = np.argmin([st.step for st in states], axis=0), np.arange(len(rec.stopped))
+        return WalkState(*(np.stack(field)[first, rows] for field in zip(*states)))
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
         ref = _factor_reference(model, replace(params, gamma=self.gamma_eff), x0)
@@ -558,6 +545,7 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
         return (self.c, u)
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
+        _check_clock_level(self.c, params.a, params.b)
         if model.continuous_paths:
             for point in _weight_plan_levels(params)[1]:
                 if min(x0, self.c) < point < max(x0, self.c):
@@ -593,13 +581,30 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     schedule = clock_family.schedule
     reports = []
     for k, clock_param in enumerate(schedule):
-        lhs_num, lhs_den, rhs, censored = _limit_ensemble(
-            model, params, clock_family, clock_param, functional,
-            t_step, x0, mc, ref, _TAG_LIMIT + k)
+        lt_level, budget = clock_family.lt_clock(clock_param) or (None, None)
+        tracked, avoid = _weight_plan_levels(params,
+                                             *([] if lt_level is None else [lt_level]))
+        hit_all = tuple(sorted({*avoid, *clock_family.hit_levels(clock_param)}))
+        plan = PathPlan(tracked_levels=tracked, hit_levels=hit_all, stop_hit_levels=hit_all,
+                        lt_level=lt_level, lt_thresholds=() if budget is None else (budget,),
+                        snapshot_steps=(t_step,))
+        rec = walk_ensemble(
+            model, x0, mc.grid, plan, mc.master_seed, _TAG_LIMIT + k, mc.n_paths,
+            lambda rng: clock_family.draw_step(rng, clock_param, mc.grid.dt))
+        snap, clock = rec.snapshots[t_step], clock_family.rung(rec, clock_param)
+        f_t = functional(snap.x)
+        # conditioned side: weight at the clock time.  A walk stopped before
+        # its clock rang was stopped by an avoided point: it is resolved with
+        # zero weight, not censored
+        rang = clock.step != NOT_HIT
+        lhs_den = np.where(rang, path_weight(params.rates, plan, clock), 0.0)
+        lhs_num = np.where(rang, f_t * lhs_den, 0.0)
         resolved = lhs_den.sum()
         if resolved == 0:
-            raise RuntimeError(
+            raise MCDegenerateError(
                 f"no path resolved the clock comparison at parameter {clock_param}")
+        # closed-form martingale value at t over the reference's start value
+        rhs = f_t * ref.value(plan, snap) / ref.start
         lhs = lhs_num.sum() / resolved
         rhs_mean = rhs.mean()
         stderr = _batch_stderr(lhs_num, lhs_den, rhs)
@@ -612,55 +617,8 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
                      # only the most extreme parameter carries the verdict;
                      # earlier rows chart the approach to the limit
                      final=(k == len(schedule) - 1), **ref.meta)
+        censored = np.count_nonzero(~rang & ~rec.stopped) / mc.n_paths
         reports.append(_finish(
             f"limit:{meta['clock']['family']}:{clock_param}", lhs, stderr,
             rhs_mean, te, censored, mc, meta))
     return reports
-
-
-def _limit_ensemble(model, params, family, clock_param, functional, t_step, x0, mc,
-                    ref, tag):
-    """One clock parameter: per-path conditioned weight and reference value."""
-    lt_level, budget = family.lt_clock(clock_param) or (None, None)
-    tracked, avoid = _weight_plan_levels(params, *([] if lt_level is None else [lt_level]))
-    hit_all = tuple(sorted({*avoid, *family.hit_levels(clock_param)}))
-    plan = PathPlan(
-        tracked_levels=tracked,
-        hit_levels=hit_all,
-        stop_hit_levels=hit_all,
-        lt_level=lt_level,
-        lt_thresholds=() if budget is None else (budget,),
-        snapshot_steps=(t_step,),
-    )
-
-    n = mc.n_paths
-    lhs_num = np.zeros(n)
-    lhs_den = np.zeros(n)
-    f_t = np.empty(n)
-    xs = np.empty(n)
-    local = np.empty(n)
-    censored = 0
-    records = walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, tag, n,
-                            lambda rng: family.draw_step(rng, clock_param, mc.grid.dt))
-    for i, rec in enumerate(records):
-        # reference side: the local-time part now, the factor after the walks
-        snap = rec.snapshots[t_step]
-        xs[i] = snap.x
-        local[i] = ref.local(plan, snap)
-        f_t[i] = float(functional(snap.x))
-
-        # conditioned side: weight at the clock time
-        clock = family.rung(rec, clock_param)
-        if clock is None:
-            # a walk stopped before its clock rang was stopped by an avoided
-            # point: it is resolved with zero weight, not censored
-            censored += not rec.stopped
-            continue
-        w_clock = path_weight(params.rates, plan, clock)
-        lhs_num[i] = f_t[i] * w_clock
-        lhs_den[i] = w_clock
-
-    # closed-form martingale value at t over the reference's start value
-    rhs = f_t * (ref.factor(xs) * local) / ref.start
-    return lhs_num, lhs_den, rhs, censored / n
-

@@ -102,6 +102,19 @@ def test_verify_nan_z_is_config_error(tmp_path, capsys):
     assert "z must be" in capsys.readouterr().err
 
 
+def test_verify_without_a_resolved_path_is_one_line_error(tmp_path, capsys):
+    # no path reaches the hit level within a horizon of 0.01: the check has
+    # no signal, which used to end in a RuntimeError traceback
+    path = tmp_path / "short.ini"
+    path.write_text(BASE_CONFIG.replace("horizon = 8.0", "horizon = 0.01")
+                    .replace("n_paths = 200", "n_paths = 100"))
+    code = cli.main(["verify", "--config", str(path), "--suite", "identities",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "no path hit the target levels" in err and len(err.strip().splitlines()) == 1
+
+
 def test_table_linspace(config_file, capsys):
     code = cli.main(["table", "--config", str(config_file), "--x-linspace=-1,1,5"])
     assert code == 0

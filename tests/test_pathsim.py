@@ -45,10 +45,10 @@ class FixedModel:
 
 
 def walk_fixed(values, plan, dt=1.0, eps=1.0, gaussian=True, clock_step=None):
-    """Walk the path through ``values`` (grid points 0..n) under a plan."""
+    """Walk the path through ``values`` (grid points 0..n) under a plan: a record of one row."""
     grid = SimGrid(dt=dt, horizon=dt * (len(values) - 1), eps=eps)
     return pathsim.walk_block(FixedModel(values, gaussian), float(values[0]), grid, plan,
-                              [np.random.default_rng(0)], clock_steps=[clock_step])[0]
+                              [np.random.default_rng(0)], clock_steps=[clock_step])
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,8 @@ def test_simulate_path_is_the_walked_path(model):
     path = simulate_path(model, 0.0, grid, levels, path_stream(3, 12, 0))
     plan = PathPlan(tracked_levels=levels, snapshot_steps=tuple(range(grid.n_steps + 1)))
     rec = walk_one(model, 0.0, grid, plan, path_stream(3, 12, 0))
-    walked = np.array([rec.snapshots[s].x for s in plan.snapshot_steps])
-    walked_lt = np.array([rec.snapshots[s].local_times for s in plan.snapshot_steps]).T
+    walked = np.array([rec.snapshots[s].x[0] for s in plan.snapshot_steps])
+    walked_lt = np.array([rec.snapshots[s].local_times[0] for s in plan.snapshot_steps]).T
     assert np.array_equal(path.values, walked)
     assert np.array_equal(np.array([path.local_times[lv] for lv in levels]), walked_lt)
     assert walked_lt[:, -1].min() > 0
@@ -134,7 +134,7 @@ def test_local_time_left_endpoint_rule():
     plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(0, 1, 2, 3))
     rec = walk_fixed([0.0, 0.0, 5.0, 0.0], plan)
     unit = 1.0 / 2.0
-    lts = [rec.snapshots[s].local_times[0] for s in (0, 1, 2, 3)]
+    lts = [rec.snapshots[s].local_times[0, 0] for s in (0, 1, 2, 3)]
     assert np.allclose(lts, [0.0, unit, 2 * unit, 2 * unit])
 
 
@@ -142,10 +142,7 @@ def test_occupation_estimator_brownian_mean():
     dt, n_paths, t = 1e-4, 4000, 1.0
     grid = SimGrid(dt=dt, horizon=t)
     plan = PathPlan(tracked_levels=(0.0,))
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        rec = walk_one(BM, 0.0, grid, plan, path_stream(77, 5, i))
-        vals[i] = rec.final.local_times[0]
+    vals = pathsim.walk_ensemble(BM, 0.0, grid, plan, 77, 5, n_paths).final.local_times[:, 0]
     target = math.sqrt(2.0 / math.pi)  # int_0^1 p_s(0) ds for the heat kernel
     steps = np.arange(grid.n_steps) * dt
     with np.errstate(divide="ignore"):
@@ -174,12 +171,12 @@ def test_occupation_bias_shrinks_under_refinement():
 
 def test_first_hitting_deterministic_straddle():
     rec = walk_fixed([0.0, 0.4, 1.1], PathPlan(hit_levels=(1.0,)))
-    assert rec.final.hit_steps[0] == 2
+    assert rec.final.hit_steps[0, 0] == 2
 
 
 def test_first_hitting_absent():
     rec = walk_fixed([0.0, 0.1, -0.2, 0.3], PathPlan(hit_levels=(5.0,)))
-    assert rec.final.hit_steps[0] == NOT_HIT
+    assert rec.final.hit_steps[0, 0] == NOT_HIT
 
 
 def test_first_hitting_pure_jump_ignores_straddle():
@@ -187,9 +184,9 @@ def test_first_hitting_pure_jump_ignores_straddle():
     # 0.05 here): a jump across is not a hit
     plan = PathPlan(hit_levels=(1.0,))
     rec = walk_fixed([0.0, 0.4, 1.1], plan, dt=0.01, eps=0.1, gaussian=False)
-    assert rec.final.hit_steps[0] == NOT_HIT
+    assert rec.final.hit_steps[0, 0] == NOT_HIT
     rec = walk_fixed([0.0, 1.01, 2.0], plan, dt=0.01, eps=0.1, gaussian=False)
-    assert rec.final.hit_steps[0] == 1
+    assert rec.final.hit_steps[0, 0] == 1
 
 
 def _detect_hit_whole_chunk(values, level, model, grid, rng):
@@ -246,10 +243,8 @@ def test_hitting_time_laplace_brownian():
     q, n_paths = 0.5, 3000
     grid = SimGrid(dt=1e-3, horizon=60.0)
     plan = PathPlan(hit_levels=(1.0,), stop_hit_levels=(1.0,))
-    vals = np.empty(n_paths)
-    for i in range(n_paths):
-        rec = walk_one(BM, 0.0, grid, plan, path_stream(9, 6, i))
-        vals[i] = math.exp(-q * rec.final_step * grid.dt) if rec.stopped else 0.0
+    rec = pathsim.walk_ensemble(BM, 0.0, grid, plan, 9, 6, n_paths)
+    vals = np.where(rec.stopped, np.exp(-q * rec.final.step * grid.dt), 0.0)
     target = math.exp(-math.sqrt(2 * q))
     stderr = vals.std(ddof=1) / math.sqrt(n_paths)
     bias_allow = target * (q * grid.dt) + math.exp(-q * grid.horizon)
@@ -263,8 +258,8 @@ def test_inverse_local_time_examples():
     # local time grows every step; the infimum over u=0 is the first step
     plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(0.0, 1e9))
     rec = walk_fixed(np.zeros(6), plan)
-    assert rec.crossings[0.0].step == 1
-    assert 1e9 not in rec.crossings
+    assert rec.crossings[0.0].step[0] == 1
+    assert rec.crossings[1e9].step[0] == NOT_HIT
     with pytest.raises(ValueError):
         PathPlan(tracked_levels=(0.0,), lt_level=3.0, lt_thresholds=(0.5,))
 
@@ -274,12 +269,8 @@ def test_inverse_local_time_laplace_brownian():
     q, u, n_paths = 1.0, 0.5, 2000
     grid = SimGrid(dt=2.5e-4, horizon=25.0)
     plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(u,))
-    vals = np.zeros(n_paths)
-    for i in range(n_paths):
-        rec = walk_one(BM, 0.0, grid, plan, path_stream(11, 7, i))
-        got = rec.crossings.get(u)
-        if got is not None:
-            vals[i] = math.exp(-q * got.step * grid.dt)
+    steps = pathsim.walk_ensemble(BM, 0.0, grid, plan, 11, 7, n_paths).crossings[u].step
+    vals = np.where(steps != NOT_HIT, np.exp(-q * steps * grid.dt), 0.0)
     target = math.exp(-u * math.sqrt(2 * q))
     stderr = vals.std(ddof=1) / math.sqrt(n_paths)
     assert abs(vals.mean() - target) < 3 * stderr + 0.03 * target
@@ -297,10 +288,10 @@ def test_realize_clock_exponential():
     family = verify.ExponentialClockFamily(qs=(2.0,))
     assert family.draw_step(_StubStream(0.75), 2.0, 0.25) == 3
     rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,)), clock_step=3)
-    assert family.rung(rec, 2.0).step == 3
+    assert family.rung(rec, 2.0).step[0] == 3
     # a clock beyond the horizon does not ring: the path is censored
     rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,)), clock_step=99)
-    assert family.rung(rec, 2.0) is None
+    assert family.rung(rec, 2.0).step[0] == NOT_HIT
     with pytest.raises(ValueError):
         verify.ExponentialClockFamily(qs=(0.0,))
 
@@ -310,29 +301,28 @@ def test_realize_clock_hitting_and_two_point():
     levels = (-1.0, -0.75, 0.7, 0.75, 50.0)
     rec = walk_fixed(values, PathPlan(hit_levels=levels))
     # crossing of -1 at step 2, level 0.7 reached at step 4
-    assert verify.HittingClockFamily(cs=(-1.0,)).rung(rec, -1.0).step == 2
-    assert verify.HittingClockFamily(cs=(0.7,)).rung(rec, 0.7).step == 4
+    assert verify.HittingClockFamily(cs=(-1.0,)).rung(rec, -1.0).step[0] == 2
+    assert verify.HittingClockFamily(cs=(0.7,)).rung(rec, 0.7).step[0] == 4
     # r = 1/4, gamma = 0: the two-point clock rings at the first of +-0.75
     two = verify.TwoPointClockFamily(gamma=0.0, rs=(0.25,))
     assert two.hit_levels(0.25) == (0.75, -0.75)
-    assert two.rung(rec, 0.25).step == 2
-    assert verify.HittingClockFamily(cs=(50.0,)).rung(rec, 50.0) is None
+    assert two.rung(rec, 0.25).step[0] == 2
+    # the state at the earlier level, whole
+    assert _same_state(two.rung(rec, 0.25), rec.hit_states[-0.75])
+    assert verify.HittingClockFamily(cs=(50.0,)).rung(rec, 50.0).step[0] == NOT_HIT
     plan = PathPlan(tracked_levels=(0.7,), lt_level=0.7, lt_thresholds=(1e9,))
     family = verify.InverseLocalTimeClockFamily(cs=(0.7,), u=1e9)
-    assert family.rung(walk_fixed(values, plan), 0.7) is None
+    assert family.rung(walk_fixed(values, plan), 0.7).step[0] == NOT_HIT
 
 
 def test_clock_ordering_two_point_before_single():
     # the two-point clock never rings after the one-point clock on the
     # same path: the first level's bridge draws come first in both walks
     grid = SimGrid(dt=1e-3, horizon=8.0)
-    for i in range(25):
-        single = walk_one(BM, 0.0, grid, PathPlan(hit_levels=(1.0,)),
-                          path_stream(21, 8, i))
-        pair = walk_one(BM, 0.0, grid, PathPlan(hit_levels=(1.0, -0.8)),
-                        path_stream(21, 8, i))
-        assert pair.final.hit_steps[0] == single.final.hit_steps[0]
-        assert pair.final.hit_steps.min() <= single.final.hit_steps[0]
+    single = pathsim.walk_ensemble(BM, 0.0, grid, PathPlan(hit_levels=(1.0,)), 21, 8, 25)
+    pair = pathsim.walk_ensemble(BM, 0.0, grid, PathPlan(hit_levels=(1.0, -0.8)), 21, 8, 25)
+    assert np.array_equal(pair.final.hit_steps[:, 0], single.final.hit_steps[:, 0])
+    assert (pair.final.hit_steps.min(axis=1) <= single.final.hit_steps[:, 0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +332,13 @@ def test_walker_snapshots_and_clock_state():
     grid = SimGrid(dt=0.01, horizon=2.0)
     plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(50, 150))
     rec = pathsim.walk_block(BM, 0.0, grid, plan, [path_stream(4, 9, 0)],
-                             clock_steps=[100])[0]
+                             clock_steps=[100])
     assert set(rec.snapshots) == {50, 150}
-    assert rec.clock_state is not None and rec.clock_state.step == 100
+    assert [rec.snapshots[s].step[0] for s in (50, 150)] == [50, 150]
+    assert rec.clock_state.step[0] == 100
     # the clock armed the stop but snapshots kept the walk alive to 150
     assert rec.final_step == 150
-    assert rec.stopped
+    assert rec.stopped[0]
 
 
 def test_walker_hit_stop_before_snapshot_still_snapshots():
@@ -355,24 +346,21 @@ def test_walker_hit_stop_before_snapshot_still_snapshots():
     plan = PathPlan(hit_levels=(0.5,), stop_hit_levels=(0.5,),
                     snapshot_steps=(2000,))
     rec = walk_one(BM, 0.0, grid, plan, path_stream(4, 10, 1))
-    assert 2000 in rec.snapshots
-    assert rec.final_step >= min(int(rec.final.hit_steps[0]), 2000)
+    assert rec.snapshots[2000].step[0] == 2000
+    assert rec.final_step >= min(int(rec.final.hit_steps[0, 0]), 2000)
 
 
 def test_walk_without_stop_rule_ends_with_its_last_snapshot_chunk():
     grid = SimGrid(dt=1e-3, horizon=30.0)
     plan = PathPlan(tracked_levels=(0.0,), hit_levels=(1.0,), snapshot_steps=(500,))
     rec = walk_one(BM, 0.0, grid, plan, path_stream(4, 12, 0))
-    assert rec.final_step == pathsim._CHUNK and not rec.stopped
+    assert rec.final_step == pathsim._CHUNK and not rec.stopped[0]
     # the snapshot is the one a walk to the horizon takes
     full_plan = PathPlan(tracked_levels=(0.0,), hit_levels=(1.0,),
                          snapshot_steps=(500, grid.n_steps))
     full = walk_one(BM, 0.0, grid, full_plan, path_stream(4, 12, 0))
     assert full.final_step == grid.n_steps
-    got, want = rec.snapshots[500], full.snapshots[500]
-    assert got.step == want.step and got.x == want.x
-    assert np.array_equal(got.local_times, want.local_times)
-    assert np.array_equal(got.hit_steps, want.hit_steps)
+    assert _same_state(rec.snapshots[500], full.snapshots[500])
 
 
 def test_walker_plan_validation():
@@ -394,9 +382,9 @@ def test_walker_determinism_across_chunk_sizes(monkeypatch):
     monkeypatch.setattr(pathsim, "_CHUNK", 1000)
     chunked = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
     assert chunked.final_step == whole.final_step == grid.n_steps
-    assert abs(chunked.final.x - whole.final.x) < 1e-12
+    assert abs(chunked.final.x[0] - whole.final.x[0]) < 1e-12
     assert np.allclose(chunked.final.local_times, whole.final.local_times, rtol=0.0, atol=1e-12)
-    assert whole.final.local_times[0] > 0
+    assert whole.final.local_times[0, 0] > 0
 
 
 def test_walker_rerun_is_bit_identical():
@@ -404,26 +392,30 @@ def test_walker_rerun_is_bit_identical():
     plan = PathPlan(tracked_levels=(0.0,), hit_levels=(1.0,), stop_hit_levels=(1.0,))
     rec_a = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
     rec_b = walk_one(BM, 0.0, grid, plan, path_stream(5, 11, 3))
-    assert rec_a.final_step == rec_b.final_step
-    assert rec_a.final.x == rec_b.final.x
-    assert np.array_equal(rec_a.final.local_times, rec_b.final.local_times)
-    assert np.array_equal(rec_a.final.hit_steps, rec_b.final.hit_steps)
+    assert _same_record(rec_a, rec_b)
 
 
 def _same_state(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    return (a.step == b.step and a.x == b.x
-            and a.local_times.tobytes() == b.local_times.tobytes()
-            and a.hit_steps.tobytes() == b.hit_steps.tobytes())
+    """Two states agree bit for bit, row by row; NaN rows too."""
+    return all(f.shape == g.shape and f.tobytes() == g.tobytes() for f, g in zip(a, b))
 
 
 def _same_record(a, b) -> bool:
-    return (_same_state(a.final, b.final) and a.stopped == b.stopped
+    return (_same_state(a.final, b.final) and np.array_equal(a.stopped, b.stopped)
             and _same_state(a.clock_state, b.clock_state)
             and all(list(getattr(a, f)) == list(getattr(b, f))
                     and all(_same_state(getattr(a, f)[k], getattr(b, f)[k]) for k in getattr(a, f))
                     for f in ("snapshots", "crossings", "hit_states")))
+
+
+def _rows(rec, start, stop):
+    """Rows start..stop-1 of a record."""
+    def cut(state):
+        return pathsim.WalkState(*(f[start:stop] for f in state))
+    return pathsim.PathRecord(
+        cut(rec.final), rec.stopped[start:stop],
+        *({k: cut(st) for k, st in getattr(rec, f).items()}
+          for f in ("snapshots", "crossings", "hit_states")), cut(rec.clock_state))
 
 
 @pytest.mark.parametrize("model", [BM, models.symmetric_stable(1.5),
@@ -452,24 +444,22 @@ def test_block_walk_equals_path_by_path(model, monkeypatch):
             def draw(rng):
                 streams.setdefault("default", []).append(rng)
                 return None if clocks is None else clocks[len(streams["default"]) - 1]
-            want = list(pathsim.walk_ensemble(model, 0.5, grid, plan, 8, 4, n, draw))
+            want = pathsim.walk_ensemble(model, 0.5, grid, plan, 8, 4, n, draw)
             for rows in (1, 3):
                 streams[rows] = [path_stream(8, 4, i) for i in range(n)]
-                got = []
                 for start in range(0, n, rows):
-                    got += pathsim.walk_block(
+                    got = pathsim.walk_block(
                         model, 0.5, grid, plan, streams[rows][start:start + rows],
                         None if clocks is None else clocks[start:start + rows])
-                assert all(_same_record(a, b) for a, b in zip(want, got)), (plan, rows)
+                    assert _same_record(_rows(want, start, start + rows), got), (plan, rows)
             states = [[rng.bit_generator.state for rng in rngs] for rngs in streams.values()]
             assert states[0] == states[1] == states[2]
-            for rec in want:
-                seen["stopped"] += rec.stopped
-                seen["censored"] += not rec.stopped
-                seen["crossing"] += bool(rec.crossings)
-                seen["hit"] += bool(rec.hit_states)
-                seen["clock"] += rec.clock_state is not None
-                seen["late"] += rec.final_step > 2 * pathsim._CHUNK
+            seen["stopped"] += want.stopped.sum()
+            seen["censored"] += (~want.stopped).sum()
+            for kind, events in (("crossing", want.crossings), ("hit", want.hit_states),
+                                 ("clock", {0: want.clock_state})):
+                seen[kind] += sum((st.step != NOT_HIT).sum() for st in events.values())
+            seen["late"] += (want.final.step > 2 * pathsim._CHUNK).sum()
     # the walks cover every kind of event and run past two chunks
     assert min(seen.values()) > 0, seen
 
@@ -484,10 +474,10 @@ def test_ensemble_streams_equal_path_stream():
                 ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(tag, i))
                 assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
             streams = []
-            recs = list(pathsim.walk_ensemble(BM, 0.0, SimGrid(dt=0.01, horizon=0.05),
-                                              PathPlan(), master_seed, tag, 3,
-                                              lambda rng: streams.append(rng)))
-            assert len(recs) == 3
+            rec = pathsim.walk_ensemble(BM, 0.0, SimGrid(dt=0.01, horizon=0.05),
+                                        PathPlan(), master_seed, tag, 3,
+                                        lambda rng: streams.append(rng))
+            assert len(rec.final.step) == 3
             for i, rng in enumerate(streams):
                 ref = path_stream(master_seed, tag, i)
                 ref.standard_normal(5)

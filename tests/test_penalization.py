@@ -244,9 +244,14 @@ def test_factor_tilt_collapse_for_infinite_second_moment():
 PLAN = PathPlan(tracked_levels=(0.0, 1.0, 2.0), hit_levels=(0.0, 1.0))
 
 
+def state(l_a, l_b, l_c, hit_a=NOT_HIT, hit_b=NOT_HIT, step=10):
+    """A walked state of one row."""
+    return WalkState(np.array([step]), np.array([0.0]), np.array([[l_a, l_b, l_c]]),
+                     np.array([[hit_a, hit_b]]))
+
+
 def weight(p, l_a, l_b, hit_a=NOT_HIT, hit_b=NOT_HIT, step=10, l_c=0.0):
-    return pen.path_weight(p.rates, PLAN, WalkState(step, 0.0, np.array([l_a, l_b, l_c]),
-                                                    np.array([hit_a, hit_b])))
+    return pen.path_weight(p.rates, PLAN, state(l_a, l_b, l_c, hit_a, hit_b, step))[0]
 
 
 def test_weight_value_regimes():
@@ -273,8 +278,7 @@ def test_martingale_value_examples():
 
 def test_inverse_clock_martingale_value():
     def value(rate, p, l_a, l_b, l_c):
-        return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, WalkState(
-            10, 0.0, np.array([l_a, l_b, l_c]), np.array([NOT_HIT] * 2)))
+        return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, state(l_a, l_b, l_c))[0]
 
     assert value(0.0, params(la=0.0, lb=0.0), 1.0, 2.0, 5.0) == 1.0
     assert value(0.5, params(la=1.0, lb=1.0), 1.0, 0.5, 2.0) == pytest.approx(
@@ -290,6 +294,25 @@ def test_inverse_clock_martingale_value():
 def test_weight_value_matches_exponential(la, lb, l_a, l_b):
     p = params(la=la, lb=lb)
     assert weight(p, l_a, l_b) == pytest.approx(math.exp(-la * l_a - lb * l_b), rel=1e-12)
+
+
+def test_weight_rows_are_the_scalar_formula_bit_for_bit():
+    # a state holds one row per path; each row's weight is the scalar
+    # math.exp product, the bits the reports are pinned to
+    rng = np.random.default_rng(3)
+    lts = rng.uniform(0.0, 3.0, size=(40, 3))
+    hits = np.where(rng.random((40, 2)) < 0.3, 5, NOT_HIT)
+    rows = WalkState(np.full(40, 10), np.zeros(40), lts, hits)
+    for p in (params(la=0.7, lb=1.3), params(la=0.7, lb=INF), params(la=INF, lb=INF)):
+        want = [0.0 if any(h <= 10 for h, (_, lam) in zip(hs, p.rates) if lam == INF)
+                else math.prod(math.exp(-lam * lt) for lt, (_, lam) in zip(ls, p.rates)
+                               if lam < INF)
+                for ls, hs in zip(lts.tolist(), hits.tolist())]
+        assert pen.path_weight(p.rates, PLAN, rows).tolist() == want
+    got = pen.inverse_clock_value(params(la=0.7, lb=1.3).rates, PLAN, 2.0, 0.4, rows)
+    weights = pen.path_weight(params(la=0.7, lb=1.3).rates, PLAN, rows)
+    assert got.tolist() == [math.exp(lc * 0.4) * w for lc, w in zip(lts[:, 2].tolist(),
+                                                                     weights.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from levypen import models, pathsim, resolvent, verify
 from levypen import penalization as pen
-from levypen.pathsim import MCConfig, PathPlan, SimGrid, walk_ensemble
+from levypen.pathsim import NOT_HIT, MCConfig, PathPlan, SimGrid, walk_ensemble
 from levypen.penalization import PenalizationParams, estimate_decay_rate
 
 BM = models.brownian(1.0)
@@ -324,7 +324,7 @@ def test_budget_clock_rejects_an_avoided_point_before_the_level(model, la, monke
     # set-up is rejected before the decay-rate estimate and the walks
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a path")
-    monkeypatch.setattr(pathsim, "walk_block", no_walk)
+    monkeypatch.setattr(pathsim, "_walk", no_walk)
     monkeypatch.setattr(verify, "walk_one", no_walk)
     monkeypatch.setattr(verify, "estimate_decay_rate", no_walk)
     p = PenalizationParams(0.0, 1.0, la, INF)
@@ -339,7 +339,7 @@ def test_limit_check_rejects_t_past_the_horizon_before_any_walk(monkeypatch):
     # whole ensemble; a functional time past the horizon fails before that
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a path")
-    monkeypatch.setattr(pathsim, "walk_block", no_walk)
+    monkeypatch.setattr(pathsim, "_walk", no_walk)
     monkeypatch.setattr(verify, "walk_one", no_walk)
     monkeypatch.setattr(verify, "estimate_decay_rate", no_walk)
     p = PenalizationParams(1.0, 2.0, 1.0, 1.0)
@@ -353,7 +353,7 @@ def test_limit_check_rejects_t_past_the_horizon_before_any_walk(monkeypatch):
 def _forbid_walks(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a path")
-    monkeypatch.setattr(pathsim, "walk_block", no_walk)
+    monkeypatch.setattr(pathsim, "_walk", no_walk)
     monkeypatch.setattr(verify, "walk_one", no_walk)
     return no_walk
 
@@ -391,6 +391,29 @@ def test_decay_rate_rejects_bad_points_and_rates_before_any_walk(monkeypatch):
         verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, INF, 1.0, (0.1,), 0.0, mc)
 
 
+@pytest.mark.parametrize("c", [math.nan, INF, 1.0])
+def test_clock_level_is_checked_with_an_injected_rate(c, monkeypatch):
+    # only the decay-rate fit checked the clock level, so with a rate given
+    # a NaN, infinite or penalized level walked a whole ensemble to a pass
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a path")
+    for mod in (verify, pen):
+        monkeypatch.setattr(mod, "walk_ensemble", no_walk)
+    rate = pen.DecayRateEstimate(
+        estimate=0.5, stderr=0.01, raw_estimate=0.5, u_grid=(0.5, 1.0, 2.0),
+        log_means=(0.25, 0.5, 1.0), log_stderrs=(0.01,) * 3, residuals=(0.0,) * 3,
+        survivors=(100,) * 3, censored_fraction=0.0)
+    mc = mc_small(n=100, dt=4e-3, horizon=60.0)
+    with pytest.raises(ValueError, match="clock level"):
+        verify.check_inverse_clock_martingale(BM, 1.0, 2.0, c, 1.0, 1.0, (0.1,), 0.0, mc,
+                                              rate=rate)
+    with pytest.raises(ValueError, match="clock level"):
+        verify.check_penalization_limit(
+            BM, PenalizationParams(1.0, 2.0, 1.0, 1.0),
+            verify.LocalTimeBudgetClockFamily(c=c, us=(0.5, 1.0)),
+            verify.IndicatorAbove(2.0), 0.1, 0.0, mc, rate=rate)
+
+
 def test_nan_in_the_t_grid_is_rejected_before_any_walk(monkeypatch):
     # a NaN time used to reach int(round(nan)): "cannot convert float NaN"
     monkeypatch.setattr(verify, "estimate_decay_rate", _forbid_walks(monkeypatch))
@@ -416,12 +439,11 @@ def test_decay_rate_stderr_is_the_batch_stderr_with_empty_batches():
     plan = PathPlan(tracked_levels=(-1.0, 0.0, 1.0), lt_level=-1.0,
                     lt_thresholds=est.u_grid)
     weights, present = np.zeros((3, 200)), np.zeros((3, 200))
-    for i, rec in enumerate(walk_ensemble(BM, -1.0, mc.grid, plan, 2024,
-                                          pen._TAG_DECAY, 200)):
-        for j, u in enumerate(est.u_grid):
-            if u in rec.crossings:
-                present[j, i] = 1.0
-                weights[j, i] = pen.path_weight(rates, plan, rec.crossings[u])
+    rec = walk_ensemble(BM, -1.0, mc.grid, plan, 2024, pen._TAG_DECAY, 200)
+    for j, u in enumerate(est.u_grid):
+        crossed = rec.crossings[u].step != NOT_HIT
+        present[j, crossed] = 1.0
+        weights[j, crossed] = pen.path_weight(rates, plan, rec.crossings[u])[crossed]
     assert (present[2].reshape(50, -1).sum(axis=1) > 0).sum() == 48
     for w, n, log_se in zip(weights, present, est.log_stderrs):
         want = verify._batch_stderr(w, n) / (w.sum() / n.sum())

@@ -5,26 +5,35 @@
 Each TREE is a checkout, a directory holding ``src/levypen``.  Both
 packages are imported into this one interpreter under distinct names, so
 they share its allocator, its loaded modules and its CPU.  Each round
-times ``walk_ensemble`` alone, with no check around it, on the plan of
-the first ``mc-identities`` operation of ``bench/workloads.py`` at round
-seed 1: Brownian motion from 0 until it hits 1 or -2, 1000 paths at
-dt 2.5e-4 and horizon 20, master seed 100 and the stream tag of
-``check_identity_local_time_until_either_hit``.  Every round walks the
-same streams.  Rounds alternate A B, B A, ..., so a drift of the
-machine's speed hits both trees alike, after one untimed warm-up walk
-per tree.  The two trees' final states must agree bit for bit, or the
-tool stops.  ``--preload`` imports modules (say ``scipy.integrate``)
-before the trees, to see whether a module in the process moves the
-walk's speed.
+times ``walk_ensemble`` alone, with no check around it, on three walks
+of ``bench/workloads.py`` at round seed 1, each on the streams of its
+check:
 
-The last line of standard output is one JSON object: per tree the wall
-times of the rounds with their median and quartiles, the ratio of the
-medians B/A, the median over rounds of each round's ratio B/A, and the
-number of rounds in which B was faster.  A cause in the code shows as a
-ratio away from 1; a cause in the process around the walk (its loaded
-modules, its memory layout) does not show here.
-It takes about a minute per 20 rounds on a 2-vCPU machine and is not
-part of the test suite.
+* ``hit``: the first ``mc-identities`` operation, Brownian motion from 0
+  until it hits 1 or -2, 1000 paths at dt 2.5e-4 and horizon 20;
+* ``threshold``: the ``mc-identities`` Laplace operation, Brownian motion
+  from 0 until its local time at 0 reaches 0.5, 1000 paths at dt 2.5e-4
+  and horizon 10;
+* ``snapshot``: the ``mc-penalization`` martingale operation of
+  stable(1.5) with rates (1, 1), from 2 with snapshots at t = 0.1 and 0.5,
+  2000 paths at dt 1e-3 and horizon 0.55.
+
+Every round walks the same streams.  Rounds alternate A B, B A, ..., so
+a drift of the machine's speed hits both trees alike, after one untimed
+warm-up walk per tree and walk.  The two trees' final states must agree
+bit for bit, or the tool stops; a tree may return one record per path
+or one record of arrays with a row per path.  ``--preload`` imports
+modules (say ``scipy.integrate``) before the trees, to see whether a
+module in the process moves the walk's speed.
+
+The last line of standard output is one JSON object with, per walk, the
+wall times of each tree's rounds with their median and quartiles, the
+ratio of the medians B/A, the median over rounds of each round's ratio
+B/A, and the number of rounds in which B was faster.  A cause in the
+code shows as a ratio away from 1; a cause in the process around the
+walk (its loaded modules, its memory layout) does not show here.
+It takes about three minutes per 20 rounds on a 2-vCPU machine and is
+not part of the test suite.
 """
 
 from __future__ import annotations
@@ -38,11 +47,16 @@ import sys
 import time
 from pathlib import Path
 
-N_PATHS = 1000
-DT = 2.5e-4
-HORIZON = 20.0
-MASTER_SEED = 100
-LEVELS = (1.0, -2.0)
+# walk -> (model, x0, dt, horizon, n_paths, master seed, stream tag, plan fields)
+WALKS = {
+    "hit": ("brownian", 0.0, 2.5e-4, 20.0, 1000, 100, "_TAG_HC",
+            {"tracked_levels": (0.0,), "hit_levels": (1.0, -2.0),
+             "stop_hit_levels": (1.0, -2.0)}),
+    "threshold": ("brownian", 0.0, 2.5e-4, 10.0, 1000, 103, "_TAG_LAPLACE",
+                  {"tracked_levels": (0.0,), "lt_level": 0.0, "lt_thresholds": (0.5,)}),
+    "snapshot": ("stable", 2.0, 1e-3, 0.55, 2000, 105, "_TAG_MARTINGALE",
+                 {"tracked_levels": (0.0, 1.0), "snapshot_steps": (100, 500)}),
+}
 
 
 def load(tree: Path, name: str):
@@ -57,19 +71,22 @@ def load(tree: Path, name: str):
                  for sub in ("pathsim", "models", "verify"))
 
 
-def walk(tree) -> tuple[float, list]:
+def walk(tree, shape: str) -> tuple[float, list]:
     """Wall time of one ensemble walk and the final state of every path."""
     pathsim, models, verify = tree
-    grid = pathsim.SimGrid(dt=DT, horizon=HORIZON)
-    plan = pathsim.PathPlan(tracked_levels=(0.0,), hit_levels=LEVELS,
-                            stop_hit_levels=LEVELS)
-    model = models.brownian(1.0)
+    kind, x0, dt, horizon, n_paths, seed, tag, plan = WALKS[shape]
+    model = models.brownian(1.0) if kind == "brownian" else models.symmetric_stable(1.5)
+    grid = pathsim.SimGrid(dt=dt, horizon=horizon)
+    plan = pathsim.PathPlan(**plan)
     t0 = time.perf_counter()
-    records = list(pathsim.walk_ensemble(model, 0.0, grid, plan, MASTER_SEED,
-                                         verify._TAG_HC, N_PATHS))
+    out = pathsim.walk_ensemble(model, x0, grid, plan, seed, getattr(verify, tag), n_paths)
+    if not hasattr(out, "final"):      # one record per path, yielded in path order
+        out = list(out)
     elapsed = time.perf_counter() - t0
-    return elapsed, [(r.final.step, r.final.x, r.final.local_times.tolist())
-                     for r in records]
+    if hasattr(out, "final"):          # one record of arrays, a row per path
+        f = out.final
+        return elapsed, list(zip(f.step.tolist(), f.x.tolist(), f.local_times.tolist()))
+    return elapsed, [(r.final.step, r.final.x, r.final.local_times.tolist()) for r in out]
 
 
 def summary(values: list[float]) -> dict:
@@ -90,28 +107,34 @@ def main(argv=None) -> int:
         importlib.import_module(module)
     trees = {"a": load(args.tree_a.resolve(), "levypen_a"),
              "b": load(args.tree_b.resolve(), "levypen_b")}
-    finals = {side: walk(tree)[1] for side, tree in trees.items()}
-    if finals["a"] != finals["b"]:
-        print("the two trees walk different paths", file=sys.stderr)
-        return 1
+    finals = {}
+    for shape in WALKS:
+        finals[shape] = {side: walk(tree, shape)[1] for side, tree in trees.items()}
+        if finals[shape]["a"] != finals[shape]["b"]:
+            print(f"the two trees walk different paths on the {shape} walk", file=sys.stderr)
+            return 1
 
-    times = {"a": [], "b": []}
+    times = {shape: {"a": [], "b": []} for shape in WALKS}
     for k in range(args.rounds):
-        for side in ("a", "b") if k % 2 == 0 else ("b", "a"):
-            elapsed, final = walk(trees[side])
-            if final != finals[side]:
-                print(f"tree {side} walked other paths in round {k}", file=sys.stderr)
-                return 1
-            times[side].append(elapsed)
-        print(f"round {k}: a {times['a'][-1]:.3f} s, b {times['b'][-1]:.3f} s",
-              file=sys.stderr, flush=True)
+        for shape in WALKS:
+            for side in ("a", "b") if k % 2 == 0 else ("b", "a"):
+                elapsed, final = walk(trees[side], shape)
+                if final != finals[shape][side]:
+                    print(f"tree {side} walked other paths on the {shape} walk in round {k}",
+                          file=sys.stderr)
+                    return 1
+                times[shape][side].append(elapsed)
+        print(f"round {k}: " + ", ".join(
+            f"{shape} a {t['a'][-1]:.3f} s b {t['b'][-1]:.3f} s" for shape, t in times.items()),
+            file=sys.stderr, flush=True)
     out = {"trees": {"a": str(args.tree_a), "b": str(args.tree_b)},
-           "preload": args.preload,
-           "a": summary(times["a"]), "b": summary(times["b"])}
-    out["b_over_a"] = out["b"]["median"] / out["a"]["median"]
-    out["b_over_a_per_round"] = statistics.median(
-        b / a for a, b in zip(times["a"], times["b"]))
-    out["b_faster_in"] = sum(b < a for a, b in zip(times["a"], times["b"]))
+           "preload": args.preload, "walks": {}}
+    for shape, t in times.items():
+        res = {"a": summary(t["a"]), "b": summary(t["b"])}
+        res["b_over_a"] = res["b"]["median"] / res["a"]["median"]
+        res["b_over_a_per_round"] = statistics.median(b / a for a, b in zip(t["a"], t["b"]))
+        res["b_faster_in"] = sum(b < a for a, b in zip(t["a"], t["b"]))
+        out["walks"][shape] = res
     print(json.dumps(out))
     return 0
 
