@@ -32,8 +32,7 @@ from . import verify as vf
 from .models import LevyModel, brownian, jump_diffusion, symmetric_stable
 from .pathsim import MCConfig, SimGrid, path_stream, simulate_path
 from .penalization import (MCDegenerateError, PenalizationParams,
-                           estimate_decay_rate, martingale_factor,
-                           prob_hit_before, zero_resolvent_cached_fn)
+                           estimate_decay_rate, martingale_factor, prob_hit_before)
 from .resolvent import ResolventError, tilted_zero_resolvent, zero_resolvent
 
 EXIT_OK = 0
@@ -141,14 +140,13 @@ def _load_config(args) -> RunConfig:
 def cmd_table(cfg: RunConfig, x_grid: list[float], out) -> None:
     """One CSV row per x: h, tilted h, martingale factor, exit-order prob."""
     model, p = cfg.model, cfg.params
-    h = zero_resolvent_cached_fn(model)
     out.write("x,h,h_gamma,phi,hitting_prob\n")
     for x in x_grid:
         x = float(x)
         hv = zero_resolvent(model, x)
         hg = tilted_zero_resolvent(model, p.gamma, x)
-        phi = martingale_factor(model, p, x, h=h)
-        hp = prob_hit_before(model, x, p.a, p.b, h=h)
+        phi = martingale_factor(model, p, x)
+        hp = prob_hit_before(model, x, p.a, p.b)
         out.write(f"{x!r},{hv!r},{hg!r},{phi!r},{hp!r}\n")
 
 
@@ -174,9 +172,7 @@ def _suite_reports(cfg: RunConfig, selector: list[str]) -> list[vf.CheckReport]:
         reports.extend(vf.check_penalization_limit(
             model, p, fam, functional, min(0.25, cfg.grid.horizon), x0, mc))
     if "inverse-clock" in selector:
-        c = _free_level(p)
-        la = p.lambda_a if math.isfinite(p.lambda_a) else 1.0
-        lb = p.lambda_b if math.isfinite(p.lambda_b) else 1.0
+        c, la, lb = _inverse_clock_setup(p)
         reports.extend(vf.check_inverse_clock_martingale(
             model, p.a, p.b, c, la, lb,
             (0.1, min(0.25, cfg.grid.horizon)), c, mc))
@@ -191,11 +187,12 @@ def _admissible_start(model: LevyModel, p: PenalizationParams) -> float:
     raise ConfigError("no admissible start with a positive martingale factor found")
 
 
-def _free_level(p: PenalizationParams) -> float:
+def _inverse_clock_setup(p: PenalizationParams) -> tuple:
+    """Clock level off both points, and the two rates with an infinite one read as 1."""
     c = 0.0
     while c in (p.a, p.b):
         c -= 1.0
-    return c
+    return c, *(lam if math.isfinite(lam) else 1.0 for lam in (p.lambda_a, p.lambda_b))
 
 
 def cmd_verify(cfg: RunConfig, selector: list[str], out_dir: FsPath) -> int:
@@ -246,9 +243,7 @@ def cmd_simulate(cfg: RunConfig, n: int, out_dir: FsPath) -> None:
 
 def cmd_estimate_h(cfg: RunConfig, u0: float, out_dir: FsPath) -> None:
     p = cfg.params
-    c = _free_level(p)
-    la = p.lambda_a if math.isfinite(p.lambda_a) else 1.0
-    lb = p.lambda_b if math.isfinite(p.lambda_b) else 1.0
+    c, la, lb = _inverse_clock_setup(p)
     est = estimate_decay_rate(cfg.model, p.a, p.b, c, la, lb, cfg.mc(), u0=u0)
     doc = {
         "estimate": est.estimate,

@@ -231,10 +231,9 @@ def check_condition_a(model: LevyModel, q: float) -> ConditionADiagnostic:
     """
     if not q > 0:
         raise ValueError("q must be positive")
-    from scipy.integrate import quad
+    from .resolvent import _quad_checked
 
     lam_cut = 50.0
-    body, _ = quad(lambda lam: abs(1.0 / (q + model.psi(lam))), 0.0, lam_cut,
-                   limit=200, epsabs=1e-10, epsrel=1e-10)
+    body = _quad_checked(lambda lam: abs(1.0 / (q + model.psi(lam))), 0.0, lam_cut)
     tail = model.tail_bound(q, lam_cut)
     return ConditionADiagnostic(finite=math.isfinite(tail), bound=body + tail)

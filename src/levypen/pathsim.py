@@ -355,8 +355,8 @@ class PathPlan:
 
     The walker records the state at every snapshot step, at each
     local-time threshold crossing, at the first detection of every hit
-    level and at a path's personal clock step (e.g. an exponential clock
-    drawn per path), which ``walk_block`` takes per row, when the walk
+    level and at a path's personal clock step (e.g. an exponential clock),
+    which the walker's ``draw_clock`` draws per row, when the walk
     reaches them.
 
     Stops arm when any of three event kinds fires: detection of a level
@@ -512,28 +512,27 @@ class _Walk:
 
 
 def walk_block(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan, streams,
-               clock_steps=None) -> PathRecord:
+               draw_clock=None) -> PathRecord:
     """Walk one path per stream under a plan, side by side, never storing them.
 
     Paths are walked in blocks of ``_BLOCK_ELEMS`` // (chunk length) rows,
-    which bounds a block's arrays whatever the grid.  Row i of every chunk
-    is the path of ``streams[i]`` and draws only from it, in the order of
-    a walk alone: the chunk's increments, then the bridge uniforms of its
-    undetected hit levels, level by level.  So a row's record does not
-    depend on the other rows or on the block's size.  ``clock_steps``,
-    when given, is each row's personal clock step (None for a row without
-    one).  Rows leave their block with the chunk in which their walk
+    which bounds a block's arrays whatever the grid.  Row i is the path
+    of ``streams[i]`` and draws only from it, in the order of a walk
+    alone: ``draw_clock(rng)``, when given, draws its personal clock step
+    (None for none) when its block starts, then each chunk its increments
+    and the bridge uniforms of its undetected hit levels, level by level.
+    So a row's record does not depend on the other rows or on the block's
+    size.  Rows leave their block with the chunk in which their walk
     ends.  Events (hits, threshold crossings, the clock) are resolved row
     by row only in the chunk where they land, and a chunk writes every
     state it records in one call per field of the record.
     """
-    return _walk(model, x0, grid, plan, len(streams),
-                 lambda lo, hi: (streams[lo:hi], clock_steps and clock_steps[lo:hi]))
+    return _walk(model, x0, grid, plan, len(streams), lambda lo, hi: streams[lo:hi],
+                 draw_clock)
 
 
-def _walk(model, x0, grid, plan, n, block_streams) -> PathRecord:
-    """``walk_block`` on n paths; ``block_streams(lo, hi)`` gives rows lo..hi-1's
-    streams and clock steps when their block starts."""
+def _walk(model, x0, grid, plan, n, block_streams, draw_clock) -> PathRecord:
+    """``walk_block`` on n paths, rows lo..hi-1's streams built by ``block_streams(lo, hi)``."""
     horizon_step = grid.n_steps
     snaps = [s for s in plan.snapshot_steps if s <= horizon_step]
     arm_step = snaps[-1] if snaps else 0
@@ -553,11 +552,12 @@ def _walk(model, x0, grid, plan, n, block_streams) -> PathRecord:
               if plan.lt_level is not None else -1)
     block = max(1, _BLOCK_ELEMS // min(_CHUNK, horizon_step))
     for start in range(0, n, block):
-        streams, clock_steps = block_streams(start, min(n, start + block))
+        streams = block_streams(start, min(n, start + block))
         # the paths still walking and their rows in the record; a finished
         # path's row is dropped
         walking, rows_of = [], np.arange(start, start + len(streams))
-        for rng, clock in zip(streams, clock_steps or [None] * len(streams)):
+        for rng in streams:
+            clock = None if draw_clock is None else draw_clock(rng)
             stops = bool(plan.stop_hit_levels or thresholds or clock is not None)
             # a clock beyond the horizon does not ring, but it still is a stop rule
             ring = NOT_HIT if clock is None or clock > horizon_step else clock
@@ -662,7 +662,6 @@ def walk_ensemble(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
     seeds = _seed_words(master_seed, tag, n_paths)
 
     def block_streams(lo, hi):
-        streams = [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-                   for words in seeds[lo:hi]]
-        return streams, None if draw_clock is None else [draw_clock(rng) for rng in streams]
-    return _walk(model, x0, grid, plan, n_paths, block_streams)
+        return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+                for words in seeds[lo:hi]]
+    return _walk(model, x0, grid, plan, n_paths, block_streams, draw_clock)

@@ -17,7 +17,6 @@ martingale.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ UNWEIGHTED = "unweighted"  # both rates zero; weight identically one
 
 _NEG_CLAMP = 1e-10
 _TAG_DECAY = 401        # stream tag of the decay-rate ensemble
-_H_FN_CACHE_SIZE = 64   # evaluators, one per model
 
 
 class MCDegenerateError(RuntimeError):
@@ -108,10 +106,8 @@ class PenalizationParams:
         return ((self.a, self.lambda_a), (self.b, self.lambda_b))
 
 
-@functools.lru_cache(maxsize=_H_FN_CACHE_SIZE)
-def zero_resolvent_cached_fn(model: LevyModel):
-    """Per-model vectorized zero-resolvent evaluator, built once."""
-    return zero_resolvent_fn(model)
+# a second name of the cached h evaluator, resolvent.zero_resolvent_fn
+zero_resolvent_cached_fn = zero_resolvent_fn
 
 
 def local_time_until_hit(model: LevyModel, a: float) -> float:
@@ -123,7 +119,7 @@ def local_time_until_hit(model: LevyModel, a: float) -> float:
     _finite_point(a)
     if a == 0.0:
         return 0.0
-    h = zero_resolvent_cached_fn(model)
+    h = zero_resolvent_fn(model)
     return float(h(a) + h(-a))
 
 
@@ -136,7 +132,7 @@ def local_time_until_either_hit(model: LevyModel, a: float, b: float, h=None) ->
     _finite_point(a, b)
     if a == b:
         raise ValueError("points must be distinct")
-    h = h or zero_resolvent_cached_fn(model)
+    h = h or zero_resolvent_fn(model)
     ha, hb = float(h(a)), float(h(b))
     hma, hmb = float(h(-a)), float(h(-b))
     hab, hba = float(h(a - b)), float(h(b - a))
@@ -156,7 +152,7 @@ def prob_hit_before(model: LevyModel, x, a: float, b: float, h=None):
     _finite_point(a, b)
     if a == b:
         raise ValueError("points must be distinct")
-    h = h or zero_resolvent_cached_fn(model)
+    h = h or zero_resolvent_fn(model)
     xs = np.asarray(x, dtype=float)
     return _exit_first(float(h(b - a)), h(xs - b), h(xs - a),
                        float(h(a - b) + h(b - a)), a, b, np.ndim(x) == 0)
@@ -184,7 +180,7 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     """
     if params.regime == UNWEIGHTED:
         raise ValueError("position factor undefined for the unit weight")
-    h = h or zero_resolvent_cached_fn(model)
+    h = h or zero_resolvent_fn(model)
     a, b, g = params.a, params.b, params.gamma
     la, lb = params.lambda_a, params.lambda_b
     xs = np.asarray(x, dtype=float)
@@ -261,7 +257,7 @@ def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float,
             * path_weight(rates, plan, state))
 
 
-# scalar math.exp of each element, as path_weight needs
+# scalar math.exp of each element: the one exp of weights and checks (path_weight)
 _exp = np.vectorize(math.exp, otypes=[float])
 
 

@@ -92,6 +92,7 @@ _MP_DPS = 30
 _R0_CACHE_SIZE = 256
 _DENSITY_CACHE_SIZE = 4096
 _H_CACHE_SIZE = 4096
+_H_FN_CACHE_SIZE = 64   # h evaluators, one per model
 _ROOTS_CACHE_SIZE = 256
 
 
@@ -483,8 +484,9 @@ H_CLOSED_FORM = {
 }
 
 
+@functools.lru_cache(maxsize=_H_FN_CACHE_SIZE)
 def zero_resolvent_fn(model: LevyModel):
-    """Vectorized closed-form zero resolvent h of a fixed model.
+    """The one evaluator of h: vectorized closed form for a model, built once per model.
 
     * Brownian motion: h(x) = |x| / sigma^2.
     * Symmetric stable: h(x) = |x|^(alpha-1) / (2 Gamma(alpha) sin(pi (alpha-1) / 2)).
@@ -569,7 +571,7 @@ def _tilt(model: LevyModel, gamma: float, xs: np.ndarray, val):
     """
     if not -1.0 <= gamma <= 1.0:
         raise ValueError(f"tilt must lie in [-1, 1], got {gamma}")
-    # math.isfinite keeps the per-path scalar calls of the limit checks cheap
+    # math.isfinite keeps the 0-d calls (two per martingale_factor, table rows) cheap
     if not (math.isfinite(xs) if xs.ndim == 0 else np.isfinite(xs).all()):
         raise ValueError(f"position must be finite, got {xs}")
     if gamma != 0.0 and math.isfinite(model.m2):

@@ -41,9 +41,8 @@ from .pathsim import (NOT_HIT, MCConfig, PathPlan, WalkState, _batch_stderr,  # 
 from .penalization import (UNWEIGHTED, DecayRateEstimate, MCDegenerateError,
                            PenalizationParams, _check_clock_level,
                            _weight_plan_levels, estimate_decay_rate,
-                           inverse_clock_value, local_time_until_either_hit,
-                           local_time_until_hit, martingale_factor, path_weight,
-                           zero_resolvent_cached_fn)
+                           _exp, inverse_clock_value, local_time_until_either_hit,
+                           local_time_until_hit, martingale_factor, path_weight)
 from .resolvent import H_CLOSED_FORM, resolvent_density
 
 __all__ = [
@@ -127,7 +126,7 @@ def _meta(model: LevyModel, mc: MCConfig, **extra) -> dict:
     return meta
 
 
-def _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta) -> CheckReport:
+def _finish(name, estimate, stderr, target, tol_extra, censored, meta) -> CheckReport:
     report = CheckReport(name=name, estimate=float(estimate), stderr=float(stderr),
                          target=float(target), tol_extra=float(tol_extra), passed=False,
                          censored_fraction=float(censored), metadata=meta)
@@ -154,7 +153,7 @@ def _exposure_identity(model, mc, plan, target, tol_extra, name, tag, meta_extra
     stderr = _batch_stderr(exposure, death)
     censored = 1.0 - deaths / mc.n_paths
     meta = _meta(model, mc, estimator="exposure-rate", **meta_extra)
-    return _finish(name, estimate, stderr, target, tol_extra, censored, mc, meta)
+    return _finish(name, estimate, stderr, target, tol_extra, censored, meta)
 
 
 def check_identity_local_time_until_hit(model: LevyModel, a: float, mc: MCConfig,
@@ -195,7 +194,7 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
     """
     if not (q > 0 and level_budget > 0):
         raise ValueError("q and the local-time budget must be positive")
-    target = math.exp(-level_budget / resolvent_density(model, q, 0.0))
+    target = float(_exp(-level_budget / resolvent_density(model, q, 0.0)))
     if tol_extra is None:
         tol_extra = 0.02 * target
     plan = PathPlan(tracked_levels=(0.0,), lt_level=0.0, lt_thresholds=(level_budget,))
@@ -205,14 +204,14 @@ def check_inverse_lt_laplace(model: LevyModel, q: float, level_budget: float,
     crossed = steps != NOT_HIT
     censored = n - int(crossed.sum())
     vals = np.zeros(n)
-    vals[crossed] = [math.exp(-q * s * mc.grid.dt) for s in steps[crossed].tolist()]
+    vals[crossed] = _exp(-q * steps[crossed] * mc.grid.dt)
     estimate = vals.mean()
     stderr = _batch_stderr(vals)
     meta = _meta(model, mc, q=q, level_budget=level_budget,
-                 censored_bias_bound=math.exp(-q * mc.grid.horizon) * censored / n,
+                 censored_bias_bound=float(_exp(-q * mc.grid.horizon)) * censored / n,
                  estimator="mean-with-censored-as-zero")
     return _finish("identity:inverse-lt-laplace", estimate, stderr, target,
-                   tol_extra, censored / n, mc, meta)
+                   tol_extra, censored / n, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +241,9 @@ class _Reference(NamedTuple):
 
 def _factor_reference(model: LevyModel, params: PenalizationParams, x0: float) -> _Reference:
     """Position factor at X_t times the weight at t."""
-    h = zero_resolvent_cached_fn(model)
-
     def value(plan, state):
-        return (martingale_factor(model, params, state.x, h=h)
-                * path_weight(params.rates, plan, state))
-    return _Reference(params, float(martingale_factor(model, params, x0, h=h)), value, {})
+        return martingale_factor(model, params, state.x) * path_weight(params.rates, plan, state)
+    return _Reference(params, float(martingale_factor(model, params, x0)), value, {})
 
 
 def _local_time_reference(params: PenalizationParams, c: float,
@@ -269,7 +265,7 @@ def _snapshot_reports(name, model, x0, t_grid, mc, plan, ref, tag, tol_extra, ce
         values = ref.value(plan, snap)
         meta = _meta(model, mc, t=t, x0=x0, **meta_extra, **ref.meta)
         reports.append(_finish(f"{name}:t={t}", values.mean(), _batch_stderr(values),
-                               ref.start, tol_extra, censored, mc, meta))
+                               ref.start, tol_extra, censored, meta))
     return reports
 
 
@@ -520,9 +516,11 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
 
     The reference martingale is exp(L_t^c * rate) * weight_t with the
     Monte Carlo decay-rate estimate; no directional tilt is involved.
-    For a model with continuous paths, an avoided point strictly between
-    x0 and c leaves no path a positive weight at the clock, and the set-up
-    is rejected with :class:`DegenerateStartError` before any walk.
+    For a model with a Gaussian part, an avoided point strictly between
+    x0 and c leaves no walked path a positive weight at the clock: every
+    path hits it, or with jumps the walker's straddle rule counts it hit.
+    The set-up is rejected before any walk, with
+    :class:`DegenerateStartError` or :class:`MCDegenerateError` in turn.
     """
 
     c: float
@@ -546,12 +544,13 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
         _check_clock_level(self.c, params.a, params.b)
-        if model.continuous_paths:
-            for point in _weight_plan_levels(params)[1]:
-                if min(x0, self.c) < point < max(x0, self.c):
-                    raise DegenerateStartError(
-                        f"avoided point {point} lies between x0={x0} and the clock "
-                        f"level c={self.c}: every path hits it before the clock rings")
+        for point in _weight_plan_levels(params)[1]:
+            if model.has_gaussian_part and min(x0, self.c) < point < max(x0, self.c):
+                error = DegenerateStartError if model.continuous_paths else MCDegenerateError
+                why = ("every path hits it" if model.continuous_paths
+                       else "the walker's straddle rule counts every path as hitting it")
+                raise error(f"avoided point {point} lies between x0={x0} and the clock "
+                            f"level c={self.c}: {why} before the clock rings")
         if rate is None:
             rate = estimate_decay_rate(model, params.a, params.b, self.c,
                                        params.lambda_a, params.lambda_b, mc)
@@ -620,5 +619,5 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
         censored = np.count_nonzero(~rang & ~rec.stopped) / mc.n_paths
         reports.append(_finish(
             f"limit:{meta['clock']['family']}:{clock_param}", lhs, stderr,
-            rhs_mean, te, censored, mc, meta))
+            rhs_mean, te, censored, meta))
     return reports

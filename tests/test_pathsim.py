@@ -48,7 +48,7 @@ def walk_fixed(values, plan, dt=1.0, eps=1.0, gaussian=True, clock_step=None):
     """Walk the path through ``values`` (grid points 0..n) under a plan: a record of one row."""
     grid = SimGrid(dt=dt, horizon=dt * (len(values) - 1), eps=eps)
     return pathsim.walk_block(FixedModel(values, gaussian), float(values[0]), grid, plan,
-                              [np.random.default_rng(0)], clock_steps=[clock_step])
+                              [np.random.default_rng(0)], lambda rng: clock_step)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def test_walker_snapshots_and_clock_state():
     grid = SimGrid(dt=0.01, horizon=2.0)
     plan = PathPlan(tracked_levels=(0.0,), snapshot_steps=(50, 150))
     rec = pathsim.walk_block(BM, 0.0, grid, plan, [path_stream(4, 9, 0)],
-                             clock_steps=[100])
+                             lambda rng: 100)
     assert set(rec.snapshots) == {50, 150}
     assert [rec.snapshots[s].step[0] for s in (50, 150)] == [50, 150]
     assert rec.clock_state.step[0] == 100
@@ -422,8 +422,9 @@ def _rows(rec, start, stop):
                                    models.jump_diffusion(1.0, 1.0, 1.0, 2.0)],
                          ids=("bm", "stable", "jump-diffusion"))
 def test_block_walk_equals_path_by_path(model, monkeypatch):
-    # each row of a block draws from its own stream in the order of a walk
-    # alone, so every record and every stream's state after the walk are
+    # each row of a block draws its clock step and its chunks from its own
+    # stream in the order of a walk alone, so every record and every
+    # stream's state after the walk are
     # the same for blocks of 1 and 3 rows and for the ensemble's blocks
     monkeypatch.setattr(pathsim, "_CHUNK", 200)
     grid = SimGrid(dt=4e-3, horizon=4.0)             # five chunks
@@ -438,19 +439,21 @@ def test_block_walk_equals_path_by_path(model, monkeypatch):
     ]
     seen = {"stopped": 0, "censored": 0, "crossing": 0, "hit": 0, "clock": 0, "late": 0}
     for plan in plans:
-        for clocks in (None, [int(c) for c in np.random.default_rng(5).integers(0, 1100, n)]):
+        for timed in (False, True):
             streams = {}
+
+            def clock(rng):
+                return int(rng.integers(0, 1100)) if timed else None
 
             def draw(rng):
                 streams.setdefault("default", []).append(rng)
-                return None if clocks is None else clocks[len(streams["default"]) - 1]
+                return clock(rng)
             want = pathsim.walk_ensemble(model, 0.5, grid, plan, 8, 4, n, draw)
             for rows in (1, 3):
                 streams[rows] = [path_stream(8, 4, i) for i in range(n)]
                 for start in range(0, n, rows):
                     got = pathsim.walk_block(
-                        model, 0.5, grid, plan, streams[rows][start:start + rows],
-                        None if clocks is None else clocks[start:start + rows])
+                        model, 0.5, grid, plan, streams[rows][start:start + rows], clock)
                     assert _same_record(_rows(want, start, start + rows), got), (plan, rows)
             states = [[rng.bit_generator.state for rng in rngs] for rngs in streams.values()]
             assert states[0] == states[1] == states[2]

@@ -1,9 +1,12 @@
-"""The benchmark's tracer finds every entry point it wraps."""
+"""The benchmark finds every entry point it calls or wraps."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +37,16 @@ def test_bench_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", TRACED_WALK],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["closed-forms", "mc-identities", "mc-penalization"])
+def test_bench_round_has_no_failed_operation(workload):
+    # one round of a benchmark workload calls levypen by the names bench/
+    # uses; a renamed entry point or an operation that raises shows here as
+    # an operation with problems
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "workloads.py"),
+                           "--workload", workload, "--seed", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ops = json.loads(proc.stdout.strip().splitlines()[-1])["ops"]
+    assert ops and not [(op["name"], op["problems"]) for op in ops if op["problems"]]

@@ -334,6 +334,23 @@ def test_budget_clock_rejects_an_avoided_point_before_the_level(model, la, monke
                                         2.0, mc_small(n=100, dt=4e-3, horizon=60.0))
 
 
+def test_budget_clock_rejects_a_straddled_point_of_a_jump_model_before_any_walk(monkeypatch):
+    # the jump diffusion may jump over b = 1 on its way from x0 = 2 to
+    # c = -1, but the walker counts a step that straddles a point as a hit
+    # for every model with a Gaussian part, so no walked path would ring
+    # the clock with a positive weight
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a path")
+    monkeypatch.setattr(pathsim, "_walk", no_walk)
+    jd = models.jump_diffusion(1.0, 1.0, 1.0, 2.0)
+    fam = verify.LocalTimeBudgetClockFamily(c=-1.0, us=(0.5, 1.0))
+    for la in (1.0, INF):
+        p = PenalizationParams(0.0, 1.0, la, INF)
+        with pytest.raises(pen.MCDegenerateError, match=r"point [01]\.0 lies.*straddle rule"):
+            verify.check_penalization_limit(jd, p, fam, verify.IndicatorAbove(2.0), 0.25,
+                                            2.0, mc_small(n=100, dt=4e-3, horizon=60.0))
+
+
 def test_limit_check_rejects_t_past_the_horizon_before_any_walk(monkeypatch):
     # the budget family's reference estimates the decay rate by walking a
     # whole ensemble; a functional time past the horizon fails before that

@@ -21,17 +21,18 @@ check:
 Every round walks the same streams.  Rounds alternate A B, B A, ..., so
 a drift of the machine's speed hits both trees alike, after one untimed
 warm-up walk per tree and walk.  The two trees' final states must agree
-bit for bit, or the tool stops; a tree may return one record per path
-or one record of arrays with a row per path.  ``--preload`` imports
-modules (say ``scipy.integrate``) before the trees, to see whether a
-module in the process moves the walk's speed.
+bit for bit, or the tool stops.  ``--preload`` imports modules (say
+``scipy.integrate``) before the trees, to see whether a module in the
+process moves the walk's speed.
 
 The last line of standard output is one JSON object with, per walk, the
 wall times of each tree's rounds with their median and quartiles, the
 ratio of the medians B/A, the median over rounds of each round's ratio
-B/A, and the number of rounds in which B was faster.  A cause in the
-code shows as a ratio away from 1; a cause in the process around the
-walk (its loaded modules, its memory layout) does not show here.
+B/A, the number of rounds in which B was faster, and each tree's minor
+page faults per walk (the ``ru_minflt`` delta of each round, with their
+median).  A cause in the code shows as a ratio away from 1; a cause in
+the process around the walk (its loaded modules) does not show here,
+and one in its memory layout shows in the fault counts.
 It takes about three minutes per 20 rounds on a 2-vCPU machine and is
 not part of the test suite.
 """
@@ -42,6 +43,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 import time
@@ -71,22 +73,19 @@ def load(tree: Path, name: str):
                  for sub in ("pathsim", "models", "verify"))
 
 
-def walk(tree, shape: str) -> tuple[float, list]:
-    """Wall time of one ensemble walk and the final state of every path."""
+def walk(tree, shape: str) -> tuple[float, int, list]:
+    """Wall time and minor page faults of one ensemble walk, and every path's final state."""
     pathsim, models, verify = tree
     kind, x0, dt, horizon, n_paths, seed, tag, plan = WALKS[shape]
     model = models.brownian(1.0) if kind == "brownian" else models.symmetric_stable(1.5)
     grid = pathsim.SimGrid(dt=dt, horizon=horizon)
     plan = pathsim.PathPlan(**plan)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    out = pathsim.walk_ensemble(model, x0, grid, plan, seed, getattr(verify, tag), n_paths)
-    if not hasattr(out, "final"):      # one record per path, yielded in path order
-        out = list(out)
+    f = pathsim.walk_ensemble(model, x0, grid, plan, seed, getattr(verify, tag), n_paths).final
     elapsed = time.perf_counter() - t0
-    if hasattr(out, "final"):          # one record of arrays, a row per path
-        f = out.final
-        return elapsed, list(zip(f.step.tolist(), f.x.tolist(), f.local_times.tolist()))
-    return elapsed, [(r.final.step, r.final.x, r.final.local_times.tolist()) for r in out]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return elapsed, faults, list(zip(f.step.tolist(), f.x.tolist(), f.local_times.tolist()))
 
 
 def summary(values: list[float]) -> dict:
@@ -109,21 +108,23 @@ def main(argv=None) -> int:
              "b": load(args.tree_b.resolve(), "levypen_b")}
     finals = {}
     for shape in WALKS:
-        finals[shape] = {side: walk(tree, shape)[1] for side, tree in trees.items()}
+        finals[shape] = {side: walk(tree, shape)[2] for side, tree in trees.items()}
         if finals[shape]["a"] != finals[shape]["b"]:
             print(f"the two trees walk different paths on the {shape} walk", file=sys.stderr)
             return 1
 
     times = {shape: {"a": [], "b": []} for shape in WALKS}
+    faults = {shape: {"a": [], "b": []} for shape in WALKS}
     for k in range(args.rounds):
         for shape in WALKS:
             for side in ("a", "b") if k % 2 == 0 else ("b", "a"):
-                elapsed, final = walk(trees[side], shape)
+                elapsed, flt, final = walk(trees[side], shape)
                 if final != finals[shape][side]:
                     print(f"tree {side} walked other paths on the {shape} walk in round {k}",
                           file=sys.stderr)
                     return 1
                 times[shape][side].append(elapsed)
+                faults[shape][side].append(flt)
         print(f"round {k}: " + ", ".join(
             f"{shape} a {t['a'][-1]:.3f} s b {t['b'][-1]:.3f} s" for shape, t in times.items()),
             file=sys.stderr, flush=True)
@@ -134,6 +135,8 @@ def main(argv=None) -> int:
         res["b_over_a"] = res["b"]["median"] / res["a"]["median"]
         res["b_over_a_per_round"] = statistics.median(b / a for a, b in zip(t["a"], t["b"]))
         res["b_faster_in"] = sum(b < a for a, b in zip(t["a"], t["b"]))
+        res["minor_faults"] = {side: {"runs": f, "median": statistics.median(f)}
+                               for side, f in faults[shape].items()}
         out["walks"][shape] = res
     print(json.dumps(out))
     return 0
