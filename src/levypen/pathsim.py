@@ -34,18 +34,26 @@ of a walk alone (a chunk's increments, then the bridge uniforms of its
 undetected hit levels, level by level) and leaves its block with the
 chunk in which its walk ends, so a path's row and its stream's final
 state do not depend on the rows beside it or on the block's size.
-``walk_ensemble`` walks the paths of a seed and tag, row i for path i.
+``walk_ensemble`` walks the paths of a seed and tag, row i for path i,
+on up to one process per usable CPU: it splits the paths into contiguous
+ranges of whole blocks, walks the first itself and forks a child for
+each other one, which sends its rows back through a pipe.
 ``simulate_path`` joins the same stepper's
 chunks into a whole trajectory for the path dumps of the command line, so
 a dump is the path the walker walks on the same stream.  Every path owns
 a private stream derived from ``(master seed, tag, path index)``, which
-makes results reproducible regardless of execution order or sharding.
+makes results reproducible regardless of execution order or sharding:
+an ensemble's record is the same bits for any number of processes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import threading
+import traceback
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -531,6 +539,11 @@ def walk_block(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan, strea
                  draw_clock)
 
 
+def _block_rows(grid: SimGrid) -> int:
+    """Rows of a block: its chunk arrays hold about ``_BLOCK_ELEMS`` elements."""
+    return max(1, _BLOCK_ELEMS // min(_CHUNK, grid.n_steps))
+
+
 def _walk(model, x0, grid, plan, n, block_streams, draw_clock) -> PathRecord:
     """``walk_block`` on n paths, rows lo..hi-1's streams built by ``block_streams(lo, hi)``."""
     horizon_step = grid.n_steps
@@ -550,7 +563,7 @@ def _walk(model, x0, grid, plan, n, block_streams, draw_clock) -> PathRecord:
     stop_ks = [k for k, lv in enumerate(hits) if lv in plan.stop_hit_levels]
     lt_idx = (plan.tracked_levels.index(plan.lt_level)
               if plan.lt_level is not None else -1)
-    block = max(1, _BLOCK_ELEMS // min(_CHUNK, horizon_step))
+    block = _block_rows(grid)
     for start in range(0, n, block):
         streams = block_streams(start, min(n, start + block))
         # the paths still walking and their rows in the record; a finished
@@ -657,11 +670,111 @@ def walk_ensemble(model: LevyModel, x0: float, grid: SimGrid, plan: PathPlan,
 
     Path i draws from the stream of ``path_stream(master_seed, tag, i)``,
     seeded from ``_seed_words``.  ``draw_clock(rng)``, when given, draws a
-    path's clock step from its stream before its first chunk.
+    path's clock step from its stream before its first chunk.  It must be
+    a pure function of that stream: a forked process may call it, and its
+    side effects there do not reach the caller.
+
+    The paths split into contiguous ranges of whole blocks, one per
+    process (``_workers``).  This process walks the first range and a
+    forked child walks each other one; as a row draws only from its own
+    stream, the record is the same bits for every number of processes.
+    A child's exception is raised here with its type and message, and no
+    child outlives the call.
     """
     seeds = _seed_words(master_seed, tag, n_paths)
 
-    def block_streams(lo, hi):
-        return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
-                for words in seeds[lo:hi]]
-    return _walk(model, x0, grid, plan, n_paths, block_streams, draw_clock)
+    def walk_range(lo, hi):
+        def block_streams(a, b):
+            return [np.random.Generator(np.random.PCG64(_SeedWords(words)))
+                    for words in seeds[lo + a:lo + b]]
+        return _walk(model, x0, grid, plan, hi - lo, block_streams, draw_clock)
+
+    block = _block_rows(grid)
+    n_blocks = max(1, -(-n_paths // block))
+    workers = _workers(n_blocks)
+    cuts = [min(n_paths, block * (n_blocks * k // workers)) for k in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork(functools.partial(walk_range, lo, hi)))
+        parts = [walk_range(0, cuts[1])] + [_receive(*child) for child in children]
+    except BaseException:
+        import signal    # here only: importing levypen does not load it
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return parts[0] if len(parts) == 1 else _join(parts)
+
+
+def _workers(n_blocks: int) -> int:
+    """Processes that walk an ensemble of n_blocks blocks: one per usable CPU and block.
+
+    One, so nothing forks, where ``os.fork`` or ``os.sched_getaffinity``
+    is missing or where another thread runs, as a forked child holds only
+    the thread that forked it and any lock another thread held stays
+    locked there.
+    """
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_blocks)
+
+
+def _fork(work):
+    """Run ``work()`` in a forked child: its pid and the pipe its outcome comes through.
+
+    The child sends ``(True, result, None)`` or ``(False, exception,
+    traceback)`` pickled and ends with ``os._exit``, so it never returns
+    into the caller, runs no atexit hook and flushes no inherited buffer.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            outcome = (True, work(), None)
+        except BaseException as exc:
+            outcome = (False, exc, traceback.format_exc())
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:    # an exception that does not pickle goes by type and message
+                outcome = (False, RuntimeError(f"{type(exc).__name__}: {exc}"), outcome[2])
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, pipe):
+    """The result a forked child sends through its pipe, or its exception raised here."""
+    data = pipe.read()
+    if not data:
+        raise RuntimeError(f"walker process {pid} ended without sending its record")
+    ok, value, trace = pickle.loads(data)
+    if not ok:
+        raise value from RuntimeError(f"in walker process {pid}:\n{trace}")
+    return value
+
+
+def _join(parts):
+    """One record holding the rows of each record of ``parts`` in turn."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _join([part[key] for part in parts]) for key in first}
+    if isinstance(first, tuple):
+        return type(first)(*map(_join, zip(*parts)))
+    return np.concatenate(parts)

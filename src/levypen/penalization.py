@@ -47,7 +47,6 @@ log = logging.getLogger(__name__)
 FINITE = "finite"          # both rates finite and positive
 SINGLE = "single"          # finite rate at a, avoidance of b
 AVOID = "avoid"            # avoidance of both points
-UNWEIGHTED = "unweighted"  # both rates zero; weight identically one
 
 _NEG_CLAMP = 1e-10
 _TAG_DECAY = 401        # stream tag of the decay-rate ensemble
@@ -62,9 +61,7 @@ class PenalizationParams:
     """Points, local-time rates and directional tilt of a penalization.
 
     Valid rate pairs are (finite>0, finite>0), (finite>0, inf) and
-    (inf, inf) -- the three weight regimes -- plus (0, 0), the unit
-    weight admitted for weight-only diagnostics.  The position factor
-    is undefined for the unit weight and rejects it.
+    (inf, inf): the three weight regimes.
     """
 
     a: float
@@ -83,17 +80,14 @@ class PenalizationParams:
         la, lb = self.lambda_a, self.lambda_b
         ok = ((la > 0 and math.isfinite(la) and lb > 0 and math.isfinite(lb))
               or (la > 0 and math.isfinite(la) and lb == math.inf)
-              or (la == math.inf and lb == math.inf)
-              or (la == 0.0 and lb == 0.0))
+              or (la == math.inf and lb == math.inf))
         if not ok:
             raise ValueError(
                 f"rate pair ({la}, {lb}) is none of (finite,finite), (finite,inf), "
-                f"(inf,inf), (0,0)")
+                f"(inf,inf)")
 
     @property
     def regime(self) -> str:
-        if self.lambda_a == 0.0:
-            return UNWEIGHTED
         if math.isfinite(self.lambda_a) and math.isfinite(self.lambda_b):
             return FINITE
         if math.isfinite(self.lambda_a):
@@ -178,8 +172,6 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     Symmetric under swapping the (point, rate) pairs.  Accepts scalar or
     array x; an array gives the scalar values bit for bit.
     """
-    if params.regime == UNWEIGHTED:
-        raise ValueError("position factor undefined for the unit weight")
     h = h or zero_resolvent_fn(model)
     a, b, g = params.a, params.b, params.gamma
     la, lb = params.lambda_a, params.lambda_b
@@ -220,14 +212,27 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     return float(out) if scalar else out
 
 
-def _weight_plan_levels(params: PenalizationParams, *levels):
+def _weight_rates(a: float, b: float, lambda_a: float, lambda_b: float) -> tuple:
+    """((a, lambda_a), (b, lambda_b)), checked as a penalization's or as the unit weight.
+
+    Rates (0, 0), which no ``PenalizationParams`` holds, are the unit
+    weight of the inverse-clock checks: every path weighs 1.  Its points
+    are checked as those of a penalization.
+    """
+    unit = lambda_a == 0.0 and lambda_b == 0.0
+    PenalizationParams(a, b, *((1.0, 1.0) if unit else (lambda_a, lambda_b)))
+    return ((a, lambda_a), (b, lambda_b))
+
+
+def _weight_plan_levels(rates, *levels):
     """(levels to track, levels to detect) for ``path_weight`` to weigh a walk.
 
-    A point with a finite rate is tracked and one with an infinite rate
-    detected; ``levels`` are tracked besides, e.g. a clock's level.
+    ``rates`` are as in ``path_weight``.  A point with a finite positive
+    rate is tracked and one with an infinite rate detected; ``levels``
+    are tracked besides, e.g. a clock's level.
     """
-    tracked = {*(p for p, lam in params.rates if 0 < lam < math.inf), *levels}
-    hit = tuple(sorted(p for p, lam in params.rates if lam == math.inf))
+    tracked = {*(p for p, lam in rates if 0 < lam < math.inf), *levels}
+    hit = tuple(sorted(p for p, lam in rates if lam == math.inf))
     return tuple(sorted(tracked)), hit
 
 
@@ -299,20 +304,21 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     path blocks, which makes the shared-path correlation between the
     three points harmless.  Paths whose local time at c never reaches a
     threshold by the horizon are dropped for that threshold, from the
-    mean and from their batch, and reported as censored.
+    mean and from their batch, and reported as censored.  Rates (0, 0)
+    weigh every path 1, so the fit then reads a decay rate of 0.
     """
-    params = PenalizationParams(a, b, lambda_a, lambda_b)
+    rates = _weight_rates(a, b, lambda_a, lambda_b)
     _check_clock_level(c, a, b)
     if not (math.isfinite(u0) and u0 > 0):
         raise ValueError(f"u0 must be finite and positive, got {u0}")
     u_grid = (0.5 * u0, u0, 2.0 * u0)
-    tracked, hit = _weight_plan_levels(params, c)
+    tracked, hit = _weight_plan_levels(rates, c)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, lt_level=c, lt_thresholds=u_grid)
 
     rec = walk_ensemble(model, c, mc.grid, plan, mc.master_seed, _TAG_DECAY, mc.n_paths)
     states = [rec.crossings[u] for u in u_grid]
     present = np.array([st.step != NOT_HIT for st in states], dtype=float)
-    weights = np.where(present, [path_weight(params.rates, plan, st) for st in states], 0.0)
+    weights = np.where(present, [path_weight(rates, plan, st) for st in states], 0.0)
 
     survivors = tuple(int(np.count_nonzero(w)) for w in weights)
     if any(s == 0 for s in survivors):

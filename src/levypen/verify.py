@@ -12,10 +12,16 @@ the two sides of a limit check.  Horizon censoring is handled per check
 by the estimator that stays consistent under it:
 
 * expected-local-time identities use the exposure-rate estimator (total
-  accumulated local time over number of detected hits); the strong
-  Markov structure keeps it unbiased under any adapted censoring,
-  whereas the plain mean over uncensored paths is biased by double-digit
-  percents at affordable horizons;
+  accumulated local time over number of detected hits), as the plain
+  mean over uncensored paths is biased by double-digit percents at
+  affordable horizons.  It is not unbiased under censoring: by the
+  strong Markov property, E[exposure] = E_0[L] (P(hit) + E[1{censored}
+  p(X_T)]) with p(y) the chance to reach the hit level before returning
+  to the origin from y, so it reads high by that last term.  The term is
+  small for Brownian motion, whose censored paths sit mostly below the
+  origin, and large for a stable path, which may be far out on either
+  side: stable(1.5) read +4.8 to +9.1 standard errors with exact local
+  time.  ROADMAP.md's small item adds the term to the denominator;
 * the inverse-local-time Laplace check counts censored paths as zero
   contributions (their true value is below exp(-q * horizon));
 * penalization-limit ratios drop unresolved paths from numerator and
@@ -38,9 +44,9 @@ from .models import LevyModel
 # walk_one is re-exported: instrumentation wraps it by name in this module
 from .pathsim import (NOT_HIT, MCConfig, PathPlan, WalkState, _batch_stderr,  # noqa: F401
                       walk_ensemble, walk_one)
-from .penalization import (UNWEIGHTED, DecayRateEstimate, MCDegenerateError,
+from .penalization import (DecayRateEstimate, MCDegenerateError,
                            PenalizationParams, _check_clock_level,
-                           _weight_plan_levels, estimate_decay_rate,
+                           _weight_plan_levels, _weight_rates, estimate_decay_rate,
                            _exp, inverse_clock_value, local_time_until_either_hit,
                            local_time_until_hit, martingale_factor, path_weight)
 from .resolvent import H_CLOSED_FORM, resolvent_density
@@ -233,7 +239,7 @@ class _Reference(NamedTuple):
     factor at each row's position times its local-time side.
     """
 
-    params: PenalizationParams   # the penalization it weighs with
+    params: PenalizationParams | None   # what a limit check reports; None in other checks
     start: float                 # its value at x0
     value: Callable              # (plan, walked states) -> its value in each row
     meta: dict                   # report fields it adds
@@ -246,11 +252,11 @@ def _factor_reference(model: LevyModel, params: PenalizationParams, x0: float) -
     return _Reference(params, float(martingale_factor(model, params, x0)), value, {})
 
 
-def _local_time_reference(params: PenalizationParams, c: float,
+def _local_time_reference(params: PenalizationParams | None, rates, c: float,
                           rate: DecayRateEstimate) -> _Reference:
-    """exp(L_t^c * rate) times the weight at t, with the decay-rate estimate."""
+    """exp(L_t^c * rate) times the weight of ``rates`` at t, with the decay-rate estimate."""
     def value(plan, state):
-        return inverse_clock_value(params.rates, plan, c, rate.estimate, state)
+        return inverse_clock_value(rates, plan, c, rate.estimate, state)
     return _Reference(params, 1.0, value,
                       {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
 
@@ -278,8 +284,6 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
     penalization limit exists from there and raises
     :class:`DegenerateStartError`.
     """
-    if params.regime == UNWEIGHTED:
-        raise ValueError("martingale check needs a genuine weight regime")
     ref = _factor_reference(model, params, x0)
     if ref.start <= 0.0:
         raise DegenerateStartError(
@@ -287,7 +291,7 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
     if tol_extra is None:
         tol_extra = 0.03 * ref.start
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
-    tracked, hit = _weight_plan_levels(params)
+    tracked, hit = _weight_plan_levels(params.rates)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
     return _snapshot_reports("martingale", model, x0, t_grid, mc, plan, ref,
                              _TAG_MARTINGALE, tol_extra, 0.0,
@@ -305,14 +309,14 @@ def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: floa
     indicts either that estimate or the martingale identity itself.
     """
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
-    params = PenalizationParams(a=a, b=b, lambda_a=lambda_a, lambda_b=lambda_b)
+    rates = _weight_rates(a, b, lambda_a, lambda_b)
     _check_clock_level(c, a, b)
     if rate is None:
         rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc)
-    tracked, hit = _weight_plan_levels(params, c)
+    tracked, hit = _weight_plan_levels(rates, c)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
     return _snapshot_reports("inverse-clock-martingale", model, x0, t_grid, mc, plan,
-                             _local_time_reference(params, c, rate), _TAG_INV_CLOCK,
+                             _local_time_reference(None, rates, c, rate), _TAG_INV_CLOCK,
                              tol_extra, rate.censored_fraction,
                              a=a, b=b, c=c, lambda_a=lambda_a, lambda_b=lambda_b,
                              rate_residuals=list(rate.residuals),
@@ -544,7 +548,7 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
         _check_clock_level(self.c, params.a, params.b)
-        for point in _weight_plan_levels(params)[1]:
+        for point in _weight_plan_levels(params.rates)[1]:
             if model.has_gaussian_part and min(x0, self.c) < point < max(x0, self.c):
                 error = DegenerateStartError if model.continuous_paths else MCDegenerateError
                 why = ("every path hits it" if model.continuous_paths
@@ -554,7 +558,7 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
         if rate is None:
             rate = estimate_decay_rate(model, params.a, params.b, self.c,
                                        params.lambda_a, params.lambda_b, mc)
-        return _local_time_reference(params, self.c, rate)
+        return _local_time_reference(params, params.rates, self.c, rate)
 
 
 def check_penalization_limit(model: LevyModel, params: PenalizationParams,
@@ -573,16 +577,14 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     theorem's verdict, earlier entries chart the approach.  The stored
     stderr is the batch stderr of the paired difference of the sides.
     """
-    if params.regime == UNWEIGHTED:
-        raise ValueError("limit check needs a genuine weight regime")
     _, (t_step,) = _snapshot_steps((t,), mc.grid)
     ref = clock_family.reference(model, params, x0, mc, rate)
     schedule = clock_family.schedule
     reports = []
     for k, clock_param in enumerate(schedule):
         lt_level, budget = clock_family.lt_clock(clock_param) or (None, None)
-        tracked, avoid = _weight_plan_levels(params,
-                                             *([] if lt_level is None else [lt_level]))
+        tracked, avoid = _weight_plan_levels(
+            params.rates, *([] if lt_level is None else [lt_level]))
         hit_all = tuple(sorted({*avoid, *clock_family.hit_levels(clock_param)}))
         plan = PathPlan(tracked_levels=tracked, hit_levels=hit_all, stop_hit_levels=hit_all,
                         lt_level=lt_level, lt_thresholds=() if budget is None else (budget,),

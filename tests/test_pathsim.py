@@ -12,6 +12,7 @@ deterministic statement.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from levypen import models, pathsim, verify
+from levypen.penalization import MCDegenerateError
 from levypen.pathsim import NOT_HIT, PathPlan, SimGrid, path_stream, simulate_path, walk_one
 
 BM = models.brownian(1.0)
@@ -488,3 +490,118 @@ def test_ensemble_streams_equal_path_stream():
     # a negative seed fails as SeedSequence fails on it
     with pytest.raises(ValueError, match="nonnegative"):
         pathsim._seed_words(-1, 7, 3)
+
+
+# ---------------------------------------------------------------------------
+# the ensemble's blocks on every CPU
+
+def _shard_setup(monkeypatch):
+    """A grid of 20-row blocks and 210 paths: 11 blocks, the last one short."""
+    monkeypatch.setattr(pathsim, "_CHUNK", 200)
+    monkeypatch.setattr(pathsim, "_BLOCK_ELEMS", 4000)
+    return SimGrid(dt=4e-3, horizon=2.0), 210
+
+
+def _forks(monkeypatch) -> list:
+    """A list that grows by one on every ``os.fork`` call from now on."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _forks_expected(n_blocks: int) -> list:
+    """The fork calls of a walk of n_blocks blocks: one per usable CPU but this one's."""
+    if not hasattr(os, "sched_getaffinity"):
+        return []
+    return [1] * (min(len(os.sched_getaffinity(0)), n_blocks) - 1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SHARD_PLAN = PathPlan(tracked_levels=(0.0, 1.0), hit_levels=(1.0, -1.5),
+                       stop_hit_levels=(-1.5,), lt_level=0.0, lt_thresholds=(0.05, 0.2),
+                       snapshot_steps=(0, 250))
+
+
+@pytest.mark.parametrize("timed", [False, True], ids=("no-clock", "clock"))
+@pytest.mark.parametrize("model", [BM, models.symmetric_stable(1.5),
+                                   models.jump_diffusion(1.0, 1.0, 1.0, 2.0)],
+                         ids=("bm", "stable", "jump-diffusion"))
+def test_sharded_ensemble_equals_walk_block(model, timed, monkeypatch):
+    # forked processes walk contiguous ranges of whole blocks; the record is
+    # the one walk_block gives on the paths' streams, bit for bit
+    grid, n = _shard_setup(monkeypatch)
+    clock = (lambda rng: int(rng.integers(0, 600))) if timed else None
+    forks = _forks(monkeypatch)
+    got = pathsim.walk_ensemble(model, 0.5, grid, _SHARD_PLAN, 8, 4, n, clock)
+    assert forks == _forks_expected(11)
+    _no_child_left()
+    want = pathsim.walk_block(model, 0.5, grid, _SHARD_PLAN,
+                              [path_stream(8, 4, i) for i in range(n)], clock)
+    assert _same_record(got, want)
+    # the walks stop and run to the horizon, and record every kind of event
+    assert got.stopped.any() and not got.stopped.all()
+    for events in (got.crossings, got.hit_states, {0: got.clock_state} if timed else {}):
+        assert all((st.step != NOT_HIT).any() for st in events.values())
+
+
+def test_one_cpu_walks_in_process(monkeypatch):
+    grid, n = _shard_setup(monkeypatch)
+    sharded = pathsim.walk_ensemble(BM, 0.5, grid, _SHARD_PLAN, 8, 4, n)
+
+    def no_fork():
+        raise AssertionError("a walk on one CPU forked")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert _same_record(pathsim.walk_ensemble(BM, 0.5, grid, _SHARD_PLAN, 8, 4, n), sharded)
+
+
+class _PairError(Exception):
+    """An exception that does not unpickle: its constructor takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class _FailingModel:
+    """Brownian motion whose sampler raises on the streams of chosen paths."""
+
+    has_gaussian_part, gaussian_sigma = True, 1.0
+
+    def __init__(self, n, failing, exc):
+        words = pathsim._seed_words(8, 4, n)
+        self.failing = {words[i].tobytes() for i in failing}
+        self.exc = exc
+
+    def sample_increments(self, rng, dt, n):
+        if rng.bit_generator.seed_seq.words.tobytes() in self.failing:
+            raise self.exc
+        return BM.sample_increments(rng, dt, n)
+
+
+@pytest.mark.parametrize("failing, exc, raised, message", [
+    ((209,), MCDegenerateError("path 209 failed"), MCDegenerateError, "^path 209 failed$"),
+    ((150, 209), ValueError("paths past 150 failed"), ValueError, "^paths past 150 failed$"),
+    ((209,), _PairError("a failure", "path 209"), RuntimeError,
+     "^_PairError: a failure at path 209$"),
+    ((0,), ValueError("path 0 failed"), ValueError, "^path 0 failed$"),
+], ids=("child-degenerate", "child-value", "child-unpicklable", "parent"))
+def test_sharded_walk_raises_what_a_range_raises(failing, exc, raised, message, monkeypatch):
+    # a forked range's exception reaches the caller with its type and
+    # message (one that does not unpickle, as a RuntimeError naming it);
+    # a raise in the caller's own range kills the children; either way
+    # every child is reaped before the call returns
+    grid, n = _shard_setup(monkeypatch)
+    forks = _forks(monkeypatch)
+    with pytest.raises(raised, match=message):
+        pathsim.walk_ensemble(_FailingModel(n, failing, exc), 0.5, grid,
+                              PathPlan(tracked_levels=(0.0,)), 8, 4, n)
+    assert forks == _forks_expected(11)
+    _no_child_left()

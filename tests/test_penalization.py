@@ -34,7 +34,6 @@ def test_params_regimes():
     assert params(la=1.0, lb=1.0).regime == pen.FINITE
     assert params(la=1.0, lb=INF).regime == pen.SINGLE
     assert params(la=INF, lb=INF).regime == pen.AVOID
-    assert params(la=0.0, lb=0.0).regime == pen.UNWEIGHTED
 
 
 def test_params_rejePcts_invalid():
@@ -139,8 +138,9 @@ def test_factor_single_regime_example():
 
 
 def test_factor_rejects_unweighted():
-    with pytest.raises(ValueError):
-        pen.martingale_factor(BM, params(la=0.0, lb=0.0), 1.0)
+    # the unit weight (0, 0) has no position factor: no penalization holds it
+    with pytest.raises(ValueError, match=r"rate pair \(0.0, 0.0\) is none of"):
+        params(la=0.0, lb=0.0)
 
 
 def test_factor_nonnegative_grids():
@@ -264,7 +264,9 @@ def test_weight_value_regimes():
     p = params(la=INF, lb=INF)
     assert weight(p, 0.4, 0.4) == 1.0       # infinite rates read detections only
     assert weight(p, 0.0, 0.0, hit_a=3) == 0.0
-    assert weight(params(la=0.0, lb=0.0), 5.0, 7.0, hit_a=0, hit_b=0) == 1.0
+    # zero rates, which no penalization holds, weigh 1 (the decay-rate fit's unit weight)
+    unit = pen.path_weight(((0.0, 0.0), (1.0, 0.0)), PLAN, state(5.0, 7.0, 0.0, 0, 0))
+    assert unit[0] == 1.0
 
 
 def test_martingale_value_examples():
@@ -280,7 +282,9 @@ def test_inverse_clock_martingale_value():
     def value(rate, p, l_a, l_b, l_c):
         return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, state(l_a, l_b, l_c))[0]
 
-    assert value(0.0, params(la=0.0, lb=0.0), 1.0, 2.0, 5.0) == 1.0
+    unit = pen.inverse_clock_value(((0.0, 0.0), (1.0, 0.0)), PLAN, 2.0, 0.0,
+                                   state(1.0, 2.0, 5.0))
+    assert unit[0] == 1.0
     assert value(0.5, params(la=1.0, lb=1.0), 1.0, 0.5, 2.0) == pytest.approx(
         math.exp(-0.5), rel=1e-12)
     for rate in (0.3, 1.1):

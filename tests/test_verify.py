@@ -150,9 +150,9 @@ def test_martingale_degenerate_start():
 
 
 def test_martingale_check_rejects_unweighted():
-    p = PenalizationParams(0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        verify.check_martingale(BM, p, (0.1,), 2.0, mc_small(horizon=0.6))
+    # the unit weight (0, 0) is no penalization: it fails at construction
+    with pytest.raises(ValueError, match=r"rate pair \(0.0, 0.0\) is none of"):
+        PenalizationParams(0.0, 1.0, 0.0, 0.0)
 
 
 def test_limit_check_exponential_and_trivial_functional():

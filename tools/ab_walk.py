@@ -29,7 +29,8 @@ The last line of standard output is one JSON object with, per walk, the
 wall times of each tree's rounds with their median and quartiles, the
 ratio of the medians B/A, the median over rounds of each round's ratio
 B/A, the number of rounds in which B was faster, and each tree's minor
-page faults per walk (the ``ru_minflt`` delta of each round, with their
+page faults per walk (the ``ru_minflt`` delta of each round, this
+process's plus that of the children a walk forks and reaps, with their
 median).  A cause in the code shows as a ratio away from 1; a cause in
 the process around the walk (its loaded modules) does not show here,
 and one in its memory layout shows in the fault counts.
@@ -73,6 +74,12 @@ def load(tree: Path, name: str):
                  for sub in ("pathsim", "models", "verify"))
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process and of every child it has reaped."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
 def walk(tree, shape: str) -> tuple[float, int, list]:
     """Wall time and minor page faults of one ensemble walk, and every path's final state."""
     pathsim, models, verify = tree
@@ -80,11 +87,11 @@ def walk(tree, shape: str) -> tuple[float, int, list]:
     model = models.brownian(1.0) if kind == "brownian" else models.symmetric_stable(1.5)
     grid = pathsim.SimGrid(dt=dt, horizon=horizon)
     plan = pathsim.PathPlan(**plan)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = minor_faults()
     t0 = time.perf_counter()
     f = pathsim.walk_ensemble(model, x0, grid, plan, seed, getattr(verify, tag), n_paths).final
     elapsed = time.perf_counter() - t0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    faults = minor_faults() - faults
     return elapsed, faults, list(zip(f.step.tolist(), f.x.tolist(), f.local_times.tolist()))
 
 

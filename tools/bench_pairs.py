@@ -8,26 +8,37 @@ once in each checkout, with T the file's ``run_seconds``; the parent
 goes first in odd pairs and the change in even ones, so a drift of the
 machine's speed hits both sides alike.  It also runs one round of
 ``bench/workloads.py`` per side at seed 1 and compares the per-operation
-output digests.
+output digests.  Last, it runs tier-1 (the test suite, acceptance
+criteria included) once in each checkout with output shown, and records
+its wall time, its summary line and each acceptance criterion's
+``[PASS|FAIL] criterion N: ... (E s of B)`` line, elapsed against budget.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric,
 each side's runs, median and quartiles, the change's win count (ties
 count for neither), whether the gain rule holds (wins in at least nine
 tenths of the pairs and medians further apart than the parent's
 quartile spread) and whether the change's median stays within the
-metric's bound.  Runs proceed one at a time, single-threaded, so the
-two sides never share the machine.
+metric's bound.  Runs proceed one at a time, so the two sides never
+share the machine; within a run, levypen may walk an ensemble on every
+CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+# the tier-1 command of ROADMAP.md, with the tests' output shown
+TIER1 = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+# pytest -q prints a test's output after its progress dots, on the same line
+CRITERION = re.compile(r"\[(?:PASS|FAIL)\] criterion (\S+): .*")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,6 +59,20 @@ def digests(checkout: Path, workload: str, seed: int) -> list[str] | None:
     if proc.returncode != 0:
         return None
     return [op["digest"] for op in json.loads(proc.stdout.strip().splitlines()[-1])["ops"]]
+
+
+def tier1(checkout: Path) -> dict:
+    """One tier-1 run in a checkout: wall time, summary line and acceptance lines."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    wall = time.monotonic() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"returncode": proc.returncode, "wall_s": wall,
+            "summary": lines[-1] if lines else "",
+            "criteria": {m[1]: m[0] for line in lines if (m := CRITERION.search(line))}}
 
 
 def summary(values: list[float]) -> dict:
@@ -118,6 +143,11 @@ def main(argv=None) -> int:
             "metrics": {m["name"]: compare(m, runs["parent"], runs["change"])
                         for m in declared["end_to_end"]},
         }
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    report["tier1"] = {}
+    for side, path in sides.items():
+        report["tier1"][side] = tier1(path)
+        print(f"tier-1 {side}: {report['tier1'][side]['summary']}", file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
