@@ -23,7 +23,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -172,10 +172,9 @@ def _suite_reports(cfg: RunConfig, selector: list[str]) -> list[vf.CheckReport]:
         reports.extend(vf.check_penalization_limit(
             model, p, fam, functional, min(0.25, cfg.grid.horizon), x0, mc))
     if "inverse-clock" in selector:
-        c, la, lb = _inverse_clock_setup(p)
+        c, weight = _inverse_clock_setup(p)
         reports.extend(vf.check_inverse_clock_martingale(
-            model, p.a, p.b, c, la, lb,
-            (0.1, min(0.25, cfg.grid.horizon)), c, mc))
+            model, weight, c, (0.1, min(0.25, cfg.grid.horizon)), c, mc))
     return reports
 
 
@@ -188,11 +187,12 @@ def _admissible_start(model: LevyModel, p: PenalizationParams) -> float:
 
 
 def _inverse_clock_setup(p: PenalizationParams) -> tuple:
-    """Clock level off both points, and the two rates with an infinite one read as 1."""
+    """Clock level off both points, and the params with an infinite rate read as 1."""
     c = 0.0
     while c in (p.a, p.b):
         c -= 1.0
-    return c, *(lam if math.isfinite(lam) else 1.0 for lam in (p.lambda_a, p.lambda_b))
+    la, lb = (lam if math.isfinite(lam) else 1.0 for lam in (p.lambda_a, p.lambda_b))
+    return c, replace(p, lambda_a=la, lambda_b=lb)
 
 
 def cmd_verify(cfg: RunConfig, selector: list[str], out_dir: FsPath) -> int:
@@ -242,9 +242,8 @@ def cmd_simulate(cfg: RunConfig, n: int, out_dir: FsPath) -> None:
 
 
 def cmd_estimate_h(cfg: RunConfig, u0: float, out_dir: FsPath) -> None:
-    p = cfg.params
-    c, la, lb = _inverse_clock_setup(p)
-    est = estimate_decay_rate(cfg.model, p.a, p.b, c, la, lb, cfg.mc(), u0=u0)
+    c, weight = _inverse_clock_setup(cfg.params)
+    est = estimate_decay_rate(cfg.model, weight, c, cfg.mc(), u0=u0)
     doc = {
         "estimate": est.estimate,
         "stderr": est.stderr,

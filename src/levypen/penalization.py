@@ -11,8 +11,9 @@ density process of the limit law is a nonnegative martingale
 and this module evaluates both factors in closed form from the zero
 resolvent.  It also provides the corrected two-point expected local time
 formula, the exit-order probability it rests on, and a Monte Carlo
-estimator of the decay rate that governs the inverse-local-time-clock
-martingale.
+estimator of the decay rate of the weighted mass along an
+inverse-local-time clock.  Every weighted function takes one
+``PenalizationParams``.
 """
 
 from __future__ import annotations
@@ -212,54 +213,40 @@ def martingale_factor(model: LevyModel, params: PenalizationParams, x, h=None):
     return float(out) if scalar else out
 
 
-def _weight_rates(a: float, b: float, lambda_a: float, lambda_b: float) -> tuple:
-    """((a, lambda_a), (b, lambda_b)), checked as a penalization's or as the unit weight.
-
-    Rates (0, 0), which no ``PenalizationParams`` holds, are the unit
-    weight of the inverse-clock checks: every path weighs 1.  Its points
-    are checked as those of a penalization.
-    """
-    unit = lambda_a == 0.0 and lambda_b == 0.0
-    PenalizationParams(a, b, *((1.0, 1.0) if unit else (lambda_a, lambda_b)))
-    return ((a, lambda_a), (b, lambda_b))
-
-
-def _weight_plan_levels(rates, *levels):
+def _weight_plan_levels(params: PenalizationParams, *levels):
     """(levels to track, levels to detect) for ``path_weight`` to weigh a walk.
 
-    ``rates`` are as in ``path_weight``.  A point with a finite positive
-    rate is tracked and one with an infinite rate detected; ``levels``
-    are tracked besides, e.g. a clock's level.
+    A point with a finite rate is tracked and one with an infinite rate
+    detected; ``levels`` are tracked besides, e.g. a clock's level.
     """
-    tracked = {*(p for p, lam in rates if 0 < lam < math.inf), *levels}
-    hit = tuple(sorted(p for p, lam in rates if lam == math.inf))
+    tracked = {*(p for p, lam in params.rates if lam < math.inf), *levels}
+    hit = tuple(sorted(p for p, lam in params.rates if lam == math.inf))
     return tuple(sorted(tracked)), hit
 
 
-def path_weight(rates, plan: PathPlan, state: WalkState) -> np.ndarray:
+def path_weight(params: PenalizationParams, plan: PathPlan, state: WalkState) -> np.ndarray:
     """Local-time weight exp(-la L^a - lb L^b) of walked paths, one per row of a state.
 
-    ``rates`` pairs each point with its rate, as ``PenalizationParams.rates``.
     A finite rate reads the occupation local time of its point from the
     state; an infinite rate is the exact indicator that its point was not
-    detected by the row's step.  Zero rates weigh 1.
+    detected by the row's step.
     """
     # scalar math.exp on purpose: np.exp differs from it in the last bit on
     # some inputs (SIMD builds), and reports are pinned to these bits
     w = np.ones(len(state.step))
-    for point, lam in rates:
+    for point, lam in params.rates:
         if lam == math.inf:
             w[state.hit_steps[:, plan.hit_levels.index(point)] <= state.step] = 0.0
-        elif lam > 0:
+        else:
             w *= _exp(-lam * state.local_times[:, plan.tracked_levels.index(point)])
     return w
 
 
-def inverse_clock_value(rates, plan: PathPlan, c: float, decay_rate: float,
-                        state: WalkState) -> np.ndarray:
+def inverse_clock_value(params: PenalizationParams, plan: PathPlan, c: float,
+                        decay_rate: float, state: WalkState) -> np.ndarray:
     """exp(L^c * decay_rate) times the weight: the inverse-clock reference process."""
     return (_exp(state.local_times[:, plan.tracked_levels.index(c)] * decay_rate)
-            * path_weight(rates, plan, state))
+            * path_weight(params, plan, state))
 
 
 # scalar math.exp of each element: the one exp of weights and checks (path_weight)
@@ -292,9 +279,8 @@ class DecayRateEstimate:
     censored_fraction: float
 
 
-def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
-                        lambda_a: float, lambda_b: float, mc: MCConfig,
-                        u0: float = 1.0) -> DecayRateEstimate:
+def estimate_decay_rate(model: LevyModel, params: PenalizationParams, c: float,
+                        mc: MCConfig, u0: float = 1.0) -> DecayRateEstimate:
     """Estimate the decay rate of P_c[weight at eta_u^c] = exp(-u * rate).
 
     Simulates paths from c, records the weight at the inverse local
@@ -304,21 +290,20 @@ def estimate_decay_rate(model: LevyModel, a: float, b: float, c: float,
     path blocks, which makes the shared-path correlation between the
     three points harmless.  Paths whose local time at c never reaches a
     threshold by the horizon are dropped for that threshold, from the
-    mean and from their batch, and reported as censored.  Rates (0, 0)
-    weigh every path 1, so the fit then reads a decay rate of 0.
+    mean and from their batch, and reported as censored.  The weight is
+    that of ``params``; its tilt plays no part.
     """
-    rates = _weight_rates(a, b, lambda_a, lambda_b)
-    _check_clock_level(c, a, b)
+    _check_clock_level(c, params.a, params.b)
     if not (math.isfinite(u0) and u0 > 0):
         raise ValueError(f"u0 must be finite and positive, got {u0}")
     u_grid = (0.5 * u0, u0, 2.0 * u0)
-    tracked, hit = _weight_plan_levels(rates, c)
+    tracked, hit = _weight_plan_levels(params, c)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, lt_level=c, lt_thresholds=u_grid)
 
     rec = walk_ensemble(model, c, mc.grid, plan, mc.master_seed, _TAG_DECAY, mc.n_paths)
     states = [rec.crossings[u] for u in u_grid]
     present = np.array([st.step != NOT_HIT for st in states], dtype=float)
-    weights = np.where(present, [path_weight(rates, plan, st) for st in states], 0.0)
+    weights = np.where(present, [path_weight(params, plan, st) for st in states], 0.0)
 
     survivors = tuple(int(np.count_nonzero(w)) for w in weights)
     if any(s == 0 for s in survivors):

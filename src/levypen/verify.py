@@ -27,6 +27,9 @@ by the estimator that stays consistent under it:
 * penalization-limit ratios drop unresolved paths from numerator and
   denominator alike, as the ratio form allows.
 
+Every weighted check takes one :class:`PenalizationParams`, and a clock
+family gives one :class:`_Clock` per parameter, read through :func:`_rung`.
+
 Fixed-seed runs are bit-identical across repetitions and scheduling
 because every path owns a stream keyed by (master seed, check tag,
 path index).
@@ -46,7 +49,7 @@ from .pathsim import (NOT_HIT, MCConfig, PathPlan, WalkState, _batch_stderr,  # 
                       walk_ensemble, walk_one)
 from .penalization import (DecayRateEstimate, MCDegenerateError,
                            PenalizationParams, _check_clock_level,
-                           _weight_plan_levels, _weight_rates, estimate_decay_rate,
+                           _weight_plan_levels, estimate_decay_rate,
                            _exp, inverse_clock_value, local_time_until_either_hit,
                            local_time_until_hit, martingale_factor, path_weight)
 from .resolvent import H_CLOSED_FORM, resolvent_density
@@ -239,24 +242,34 @@ class _Reference(NamedTuple):
     factor at each row's position times its local-time side.
     """
 
-    params: PenalizationParams | None   # what a limit check reports; None in other checks
+    params: PenalizationParams   # the weight, and the tilt of the factor
     start: float                 # its value at x0
     value: Callable              # (plan, walked states) -> its value in each row
     meta: dict                   # report fields it adds
 
 
 def _factor_reference(model: LevyModel, params: PenalizationParams, x0: float) -> _Reference:
-    """Position factor at X_t times the weight at t."""
+    """Position factor at X_t times the weight at t.
+
+    Raises :class:`DegenerateStartError` where the factor vanishes at x0:
+    no penalization limit exists from there.
+    """
+    start = float(martingale_factor(model, params, x0))
+    if start <= 0.0:
+        raise DegenerateStartError(
+            f"martingale factor vanishes at x0={x0} toward gamma={params.gamma}; "
+            f"pick an admissible start")
+
     def value(plan, state):
-        return martingale_factor(model, params, state.x) * path_weight(params.rates, plan, state)
-    return _Reference(params, float(martingale_factor(model, params, x0)), value, {})
+        return martingale_factor(model, params, state.x) * path_weight(params, plan, state)
+    return _Reference(params, start, value, {})
 
 
-def _local_time_reference(params: PenalizationParams | None, rates, c: float,
+def _local_time_reference(params: PenalizationParams, c: float,
                           rate: DecayRateEstimate) -> _Reference:
-    """exp(L_t^c * rate) times the weight of ``rates`` at t, with the decay-rate estimate."""
+    """exp(L_t^c * rate) times the weight at t, with the decay-rate estimate."""
     def value(plan, state):
-        return inverse_clock_value(rates, plan, c, rate.estimate, state)
+        return inverse_clock_value(params, plan, c, rate.estimate, state)
     return _Reference(params, 1.0, value,
                       {"rate_estimate": rate.estimate, "rate_stderr": rate.stderr})
 
@@ -280,46 +293,42 @@ def check_martingale(model: LevyModel, params: PenalizationParams, t_grid,
                      tol_extra: float | None = None) -> list[CheckReport]:
     """E_x0[factor(X_t) * weight_t] against factor(x0), one report per t.
 
-    Requires a start with a positive factor; a vanishing factor means no
-    penalization limit exists from there and raises
-    :class:`DegenerateStartError`.
+    Requires a start with a positive factor (:class:`DegenerateStartError`).
     """
     ref = _factor_reference(model, params, x0)
-    if ref.start <= 0.0:
-        raise DegenerateStartError(
-            f"martingale factor vanishes at x0={x0}; pick an admissible start")
     if tol_extra is None:
         tol_extra = 0.03 * ref.start
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
-    tracked, hit = _weight_plan_levels(params.rates)
+    tracked, hit = _weight_plan_levels(params)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
     return _snapshot_reports("martingale", model, x0, t_grid, mc, plan, ref,
                              _TAG_MARTINGALE, tol_extra, 0.0,
                              params=_params_meta(params), start_factor=ref.start)
 
 
-def check_inverse_clock_martingale(model: LevyModel, a: float, b: float, c: float,
-                                   lambda_a: float, lambda_b: float, t_grid,
-                                   x0: float, mc: MCConfig,
+def check_inverse_clock_martingale(model: LevyModel, params: PenalizationParams, c: float,
+                                   t_grid, x0: float, mc: MCConfig,
                                    rate: DecayRateEstimate | None = None,
                                    tol_extra: float = 0.05) -> list[CheckReport]:
     """Mean of exp(L_t^c * rate) * weight_t against its unit start value.
 
-    The decay rate is estimated first (or injected); a failure here
-    indicts either that estimate or the martingale identity itself.
+    The decay rate is estimated first (or injected).  The process is not
+    a martingale: it lacks the position factor g(X_t), the expected
+    weight at the clock from X_t, so its mean drifts above 1 from x0 = c
+    and the check fails by design.  ROADMAP.md's direction 1 builds the
+    compensated process exp(kappa L_t^c) W_t g(X_t).
     """
     t_grid, steps = _snapshot_steps(t_grid, mc.grid)
-    rates = _weight_rates(a, b, lambda_a, lambda_b)
-    _check_clock_level(c, a, b)
+    _check_clock_level(c, params.a, params.b)
     if rate is None:
-        rate = estimate_decay_rate(model, a, b, c, lambda_a, lambda_b, mc)
-    tracked, hit = _weight_plan_levels(rates, c)
+        rate = estimate_decay_rate(model, params, c, mc)
+    tracked, hit = _weight_plan_levels(params, c)
     plan = PathPlan(tracked_levels=tracked, hit_levels=hit, snapshot_steps=steps)
     return _snapshot_reports("inverse-clock-martingale", model, x0, t_grid, mc, plan,
-                             _local_time_reference(None, rates, c, rate), _TAG_INV_CLOCK,
+                             _local_time_reference(params, c, rate), _TAG_INV_CLOCK,
                              tol_extra, rate.censored_fraction,
-                             a=a, b=b, c=c, lambda_a=lambda_a, lambda_b=lambda_b,
-                             rate_residuals=list(rate.residuals),
+                             a=params.a, b=params.b, c=c, lambda_a=params.lambda_a,
+                             lambda_b=params.lambda_b, rate_residuals=list(rate.residuals),
                              rate_censored_fraction=rate.censored_fraction)
 
 
@@ -355,49 +364,57 @@ class ClippedIdentity:
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
 
-class _ClockFamily:
-    """Behaviour shared by the clock families of the limit check.
+class _Clock(NamedTuple):
+    """One parameter of a clock family: how its clock rings.
 
-    A family is a schedule of clock parameters that drives the clock to
-    infinity.  For one parameter, a clock rings at the first detection
-    of one of its ``hit_levels``, at the inverse local time of its
-    ``lt_clock`` (level, budget), or at a step drawn per path before the
-    walk (``draw_step``).  The reference martingale is the position
-    factor tilted toward ``gamma_eff`` times the weight.
+    The clock rings at the first detection of one of ``hit_levels``, at
+    the inverse local time ``lt = (level, budget)``, or at the step
+    ``draw(rng, dt)`` draws per path before the walk.
     """
 
-    def hit_levels(self, param) -> tuple:
-        return ()
+    param: float
+    meta: dict                   # the report's clock fields
+    hit_levels: tuple = ()
+    lt: tuple | None = None
+    draw: Callable | None = None
 
-    def lt_clock(self, param):
-        return None
 
-    def draw_step(self, rng, param, dt):
-        return None
+def _rung(rec, clock: _Clock) -> WalkState:
+    """States of walked paths when the clock rang; step NOT_HIT where it did not."""
+    if clock.lt is not None:
+        return rec.crossings[clock.lt[1]]
+    states = [rec.hit_states[lv] for lv in clock.hit_levels]
+    if not states:
+        return rec.clock_state
+    first, rows = np.argmin([st.step for st in states], axis=0), np.arange(len(rec.stopped))
+    return WalkState(*(np.stack(field)[first, rows] for field in zip(*states)))
 
-    def rung(self, rec, param):
-        """States of walked paths when the clock rang; step NOT_HIT where it did not."""
-        lt_clock = self.lt_clock(param)
-        if lt_clock is not None:
-            return rec.crossings[lt_clock[1]]
-        states = [rec.hit_states[lv] for lv in self.hit_levels(param)]
-        if not states:
-            return rec.clock_state
-        first, rows = np.argmin([st.step for st in states], axis=0), np.arange(len(rec.stopped))
-        return WalkState(*(np.stack(field)[first, rows] for field in zip(*states)))
+
+def _check_schedule(family, values, ok, size, what: str) -> None:
+    """Reject a schedule that is empty, not finite, fails ``ok``, or whose
+    ``size`` does not grow strictly: only its last row carries the verdict."""
+    sizes = [size(v) for v in values]
+    if not (values and all(math.isfinite(v) and ok(v) for v in values)
+            and all(s0 < s1 for s0, s1 in zip(sizes, sizes[1:]))):
+        raise ValueError(f"{type(family).__name__}: {what} must form a nonempty, finite "
+                         f"schedule, strictly monotone toward the limit; got {values}")
+
+
+class _ClockFamily:
+    """A schedule of clock parameters that drives the clock to infinity.
+
+    ``clocks()`` gives one :class:`_Clock` per parameter.  The reference
+    martingale is the position factor tilted toward ``gamma_eff`` times
+    the weight.
+    """
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
-        ref = _factor_reference(model, replace(params, gamma=self.gamma_eff), x0)
-        if ref.start <= 0.0:
-            raise DegenerateStartError(
-                f"limit martingale starts at zero from x0={x0} toward "
-                f"gamma={self.gamma_eff}; the theorem presumes a positive start")
-        return ref
+        return _factor_reference(model, replace(params, gamma=self.gamma_eff), x0)
 
 
-def _one_signed_levels(cs) -> bool:
-    return (all(math.isfinite(c) for c in cs) and 0.0 not in cs
-            and len({math.copysign(1.0, c) for c in cs}) == 1)
+def _check_levels(family, cs) -> None:
+    _check_schedule(family, cs, lambda c: c * cs[0] > 0, abs,
+                    "clock levels (nonzero, one-signed, |c| growing)")
 
 
 @dataclass(frozen=True)
@@ -408,18 +425,13 @@ class ExponentialClockFamily(_ClockFamily):
     gamma_eff = 0.0
 
     def __post_init__(self):
-        if not all(q > 0 for q in self.qs):
-            raise ValueError("clock rates must be positive")
+        _check_schedule(self, self.qs, lambda q: q > 0, lambda q: -q,
+                        "clock rates (positive, falling)")
 
-    @property
-    def schedule(self) -> tuple:
-        return tuple(self.qs)
-
-    def meta(self, q) -> dict:
-        return {"family": "exponential", "q": q}
-
-    def draw_step(self, rng, q, dt):
-        return int(rng.exponential(1.0 / q) / dt)
+    def clocks(self) -> list:
+        return [_Clock(q, {"family": "exponential", "q": q},
+                       draw=lambda rng, dt, q=q: int(rng.exponential(1.0 / q) / dt))
+                for q in self.qs]
 
 
 @dataclass(frozen=True)
@@ -429,22 +441,14 @@ class HittingClockFamily(_ClockFamily):
     cs: tuple
 
     def __post_init__(self):
-        if not _one_signed_levels(self.cs):
-            raise ValueError("hitting clock levels must be finite, nonzero and one-signed")
+        _check_levels(self, self.cs)
 
     @property
     def gamma_eff(self) -> float:
         return math.copysign(1.0, self.cs[0])
 
-    @property
-    def schedule(self) -> tuple:
-        return tuple(self.cs)
-
-    def meta(self, c) -> dict:
-        return {"family": "hitting", "c": c}
-
-    def hit_levels(self, c) -> tuple:
-        return (c,)
+    def clocks(self) -> list:
+        return [_Clock(c, {"family": "hitting", "c": c}, hit_levels=(c,)) for c in self.cs]
 
 
 @dataclass(frozen=True)
@@ -461,29 +465,20 @@ class TwoPointClockFamily(_ClockFamily):
 
     def __post_init__(self):
         if not -1.0 <= self.gamma <= 1.0:
-            raise ValueError("direction must lie in [-1, 1]")
-        if not all(r > 0 for r in self.rs):
-            raise ValueError("radii must be positive")
+            raise ValueError(f"TwoPointClockFamily: direction {self.gamma} must lie in [-1, 1]")
+        _check_schedule(self, self.rs, lambda r: r > 0, abs, "radii (positive, growing)")
 
     @property
     def gamma_eff(self) -> float:
         return self.gamma
 
-    @property
-    def schedule(self) -> tuple:
-        return tuple(self.rs)
-
-    def thresholds(self, r: float) -> tuple:
-        return (r * (1.0 - self.gamma) + math.sqrt(r),
-                r * (1.0 + self.gamma) + math.sqrt(r))
-
-    def meta(self, r) -> dict:
-        c, d = self.thresholds(r)
-        return {"family": "two-point", "r": r, "gamma": self.gamma, "c": c, "d": d}
-
-    def hit_levels(self, r) -> tuple:
-        c, d = self.thresholds(r)
-        return (c, -d)
+    def clocks(self) -> list:
+        out = []
+        for r in self.rs:
+            c, d = r * (1.0 - self.gamma) + math.sqrt(r), r * (1.0 + self.gamma) + math.sqrt(r)
+            out.append(_Clock(r, {"family": "two-point", "r": r, "gamma": self.gamma,
+                                  "c": c, "d": d}, hit_levels=(c, -d)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -494,32 +489,29 @@ class InverseLocalTimeClockFamily(_ClockFamily):
     u: float = 1.0
 
     def __post_init__(self):
-        if not _one_signed_levels(self.cs):
-            raise ValueError("clock levels must be finite, nonzero and one-signed")
-        if not self.u > 0:
-            raise ValueError("local-time budget must be positive")
+        _check_levels(self, self.cs)
+        if not (math.isfinite(self.u) and self.u > 0):
+            raise ValueError(f"InverseLocalTimeClockFamily: budget {self.u} must be finite, > 0")
 
     @property
     def gamma_eff(self) -> float:
         return math.copysign(1.0, self.cs[0])
 
-    @property
-    def schedule(self) -> tuple:
-        return tuple(self.cs)
-
-    def meta(self, c) -> dict:
-        return {"family": "inverse-lt", "c": c, "u": self.u}
-
-    def lt_clock(self, c):
-        return (c, self.u)
+    def clocks(self) -> list:
+        return [_Clock(c, {"family": "inverse-lt", "c": c, "u": self.u}, lt=(c, self.u))
+                for c in self.cs]
 
 
 @dataclass(frozen=True)
 class LocalTimeBudgetClockFamily(_ClockFamily):
     """Inverse-local-time clocks eta_u^c at fixed level c, budget u growing.
 
-    The reference martingale is exp(L_t^c * rate) * weight_t with the
-    Monte Carlo decay-rate estimate; no directional tilt is involved.
+    The reference process is exp(L_t^c * rate) * weight_t with the Monte
+    Carlo decay-rate estimate; no directional tilt is involved.  It is
+    not a martingale: it lacks the position factor g(X_t), the expected
+    weight at the clock from X_t, so the two sides part (Brownian motion,
+    points 1 and 2 at rates (1, 1), c = x0 = 0, u = 1: target 0.549,
+    conditioned side 0.407 +- 0.005).  ROADMAP.md's direction 1 mends it.
     For a model with a Gaussian part, an avoided point strictly between
     x0 and c leaves no walked path a positive weight at the clock: every
     path hits it, or with jumps the walker's straddle rule counts it hit.
@@ -532,23 +524,16 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
 
     def __post_init__(self):
         if not math.isfinite(self.c):
-            raise ValueError(f"clock level must be finite, got {self.c}")
-        if list(self.us) != sorted(self.us) or not all(u > 0 for u in self.us):
-            raise ValueError("budgets must be positive and ascending")
+            raise ValueError(f"LocalTimeBudgetClockFamily: clock level {self.c} must be finite")
+        _check_schedule(self, self.us, lambda u: u > 0, abs, "budgets (positive, growing)")
 
-    @property
-    def schedule(self) -> tuple:
-        return tuple(self.us)
-
-    def meta(self, u) -> dict:
-        return {"family": "inverse-lt-budget", "c": self.c, "u": u}
-
-    def lt_clock(self, u):
-        return (self.c, u)
+    def clocks(self) -> list:
+        return [_Clock(u, {"family": "inverse-lt-budget", "c": self.c, "u": u},
+                       lt=(self.c, u)) for u in self.us]
 
     def reference(self, model, params, x0, mc, rate) -> _Reference:
         _check_clock_level(self.c, params.a, params.b)
-        for point in _weight_plan_levels(params.rates)[1]:
+        for point in _weight_plan_levels(params)[1]:
             if model.has_gaussian_part and min(x0, self.c) < point < max(x0, self.c):
                 error = DegenerateStartError if model.continuous_paths else MCDegenerateError
                 why = ("every path hits it" if model.continuous_paths
@@ -556,9 +541,8 @@ class LocalTimeBudgetClockFamily(_ClockFamily):
                 raise error(f"avoided point {point} lies between x0={x0} and the clock "
                             f"level c={self.c}: {why} before the clock rings")
         if rate is None:
-            rate = estimate_decay_rate(model, params.a, params.b, self.c,
-                                       params.lambda_a, params.lambda_b, mc)
-        return _local_time_reference(params, params.rates, self.c, rate)
+            rate = estimate_decay_rate(model, params, self.c, mc)
+        return _local_time_reference(params, self.c, rate)
 
 
 def check_penalization_limit(model: LevyModel, params: PenalizationParams,
@@ -579,47 +563,44 @@ def check_penalization_limit(model: LevyModel, params: PenalizationParams,
     """
     _, (t_step,) = _snapshot_steps((t,), mc.grid)
     ref = clock_family.reference(model, params, x0, mc, rate)
-    schedule = clock_family.schedule
+    clocks = clock_family.clocks()
     reports = []
-    for k, clock_param in enumerate(schedule):
-        lt_level, budget = clock_family.lt_clock(clock_param) or (None, None)
-        tracked, avoid = _weight_plan_levels(
-            params.rates, *([] if lt_level is None else [lt_level]))
-        hit_all = tuple(sorted({*avoid, *clock_family.hit_levels(clock_param)}))
+    for k, clock in enumerate(clocks):
+        lt_level, budget = clock.lt or (None, None)
+        tracked, avoid = _weight_plan_levels(params, *([] if lt_level is None else [lt_level]))
+        hit_all = tuple(sorted({*avoid, *clock.hit_levels}))
         plan = PathPlan(tracked_levels=tracked, hit_levels=hit_all, stop_hit_levels=hit_all,
                         lt_level=lt_level, lt_thresholds=() if budget is None else (budget,),
                         snapshot_steps=(t_step,))
-        rec = walk_ensemble(
-            model, x0, mc.grid, plan, mc.master_seed, _TAG_LIMIT + k, mc.n_paths,
-            lambda rng: clock_family.draw_step(rng, clock_param, mc.grid.dt))
-        snap, clock = rec.snapshots[t_step], clock_family.rung(rec, clock_param)
+        draw = None if clock.draw is None else (lambda rng: clock.draw(rng, mc.grid.dt))
+        rec = walk_ensemble(model, x0, mc.grid, plan, mc.master_seed, _TAG_LIMIT + k,
+                            mc.n_paths, draw)
+        snap, rung = rec.snapshots[t_step], _rung(rec, clock)
         f_t = functional(snap.x)
         # conditioned side: weight at the clock time.  A walk stopped before
         # its clock rang was stopped by an avoided point: it is resolved with
         # zero weight, not censored
-        rang = clock.step != NOT_HIT
-        lhs_den = np.where(rang, path_weight(params.rates, plan, clock), 0.0)
+        rang = rung.step != NOT_HIT
+        lhs_den = np.where(rang, path_weight(params, plan, rung), 0.0)
         lhs_num = np.where(rang, f_t * lhs_den, 0.0)
         resolved = lhs_den.sum()
         if resolved == 0:
             raise MCDegenerateError(
-                f"no path resolved the clock comparison at parameter {clock_param}")
+                f"no path resolved the clock comparison at parameter {clock.param}")
         # closed-form martingale value at t over the reference's start value
         rhs = f_t * ref.value(plan, snap) / ref.start
         lhs = lhs_num.sum() / resolved
         rhs_mean = rhs.mean()
         stderr = _batch_stderr(lhs_num, lhs_den, rhs)
         te = 0.05 * max(abs(rhs_mean), 0.1) if tol_extra is None else tol_extra
-        meta = _meta(model, mc, params=_params_meta(ref.params),
-                     clock=clock_family.meta(clock_param),
+        meta = _meta(model, mc, params=_params_meta(ref.params), clock=clock.meta,
                      functional=functional.name, t=t, x0=x0,
                      reference_start=ref.start,
                      survivor_weight=float(resolved),
                      # only the most extreme parameter carries the verdict;
                      # earlier rows chart the approach to the limit
-                     final=(k == len(schedule) - 1), **ref.meta)
+                     final=(k == len(clocks) - 1), **ref.meta)
         censored = np.count_nonzero(~rang & ~rec.stopped) / mc.n_paths
-        reports.append(_finish(
-            f"limit:{meta['clock']['family']}:{clock_param}", lhs, stderr,
-            rhs_mean, te, censored, meta))
+        reports.append(_finish(f"limit:{clock.meta['family']}:{clock.param}", lhs, stderr,
+                               rhs_mean, te, censored, meta))
     return reports

@@ -268,7 +268,7 @@ def test_acceptance_11_penalization_limit_ratios():
 def decay_rate_estimate():
     mc = MCConfig(n_paths=4000, master_seed=SEED,
                   grid=SimGrid(dt=2.5e-4, horizon=150.0), censor_budget=0.25)
-    return estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0, mc)
+    return estimate_decay_rate(BM, PenalizationParams(1.0, 2.0, 1.0, 1.0), 0.0, mc)
 
 
 def test_acceptance_12a_decay_rate_fit_residuals(decay_rate_estimate):
@@ -300,7 +300,8 @@ def test_acceptance_12b_inverse_clock_martingale(decay_rate_estimate):
     mc = MCConfig(n_paths=4000, master_seed=SEED,
                   grid=SimGrid(dt=2.5e-4, horizon=1.0), censor_budget=0.25)
     reports = verify.check_inverse_clock_martingale(
-        BM, 1.0, 2.0, 0.0, 1.0, 1.0, (0.1, 0.25), 0.0, mc, rate=est, tol_extra=0.05)
+        BM, PenalizationParams(1.0, 2.0, 1.0, 1.0), 0.0, (0.1, 0.25), 0.0, mc, rate=est,
+        tol_extra=0.05)
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in reports)
     predicted = [1.0 + est.estimate * math.sqrt(2 * t / math.pi) for t in (0.1, 0.25)]

@@ -287,13 +287,13 @@ class _StubStream:
 
 
 def test_realize_clock_exponential():
-    family = verify.ExponentialClockFamily(qs=(2.0,))
-    assert family.draw_step(_StubStream(0.75), 2.0, 0.25) == 3
+    (clock,) = verify.ExponentialClockFamily(qs=(2.0,)).clocks()
+    assert clock.draw(_StubStream(0.75), 0.25) == 3
     rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,)), clock_step=3)
-    assert family.rung(rec, 2.0).step[0] == 3
+    assert verify._rung(rec, clock).step[0] == 3
     # a clock beyond the horizon does not ring: the path is censored
     rec = walk_fixed(np.zeros(5), PathPlan(tracked_levels=(0.0,)), clock_step=99)
-    assert family.rung(rec, 2.0).step[0] == NOT_HIT
+    assert verify._rung(rec, clock).step[0] == NOT_HIT
     with pytest.raises(ValueError):
         verify.ExponentialClockFamily(qs=(0.0,))
 
@@ -303,18 +303,22 @@ def test_realize_clock_hitting_and_two_point():
     levels = (-1.0, -0.75, 0.7, 0.75, 50.0)
     rec = walk_fixed(values, PathPlan(hit_levels=levels))
     # crossing of -1 at step 2, level 0.7 reached at step 4
-    assert verify.HittingClockFamily(cs=(-1.0,)).rung(rec, -1.0).step[0] == 2
-    assert verify.HittingClockFamily(cs=(0.7,)).rung(rec, 0.7).step[0] == 4
+    def rung(family, rec):
+        (clock,) = family.clocks()
+        return verify._rung(rec, clock)
+
+    assert rung(verify.HittingClockFamily(cs=(-1.0,)), rec).step[0] == 2
+    assert rung(verify.HittingClockFamily(cs=(0.7,)), rec).step[0] == 4
     # r = 1/4, gamma = 0: the two-point clock rings at the first of +-0.75
     two = verify.TwoPointClockFamily(gamma=0.0, rs=(0.25,))
-    assert two.hit_levels(0.25) == (0.75, -0.75)
-    assert two.rung(rec, 0.25).step[0] == 2
+    assert two.clocks()[0].hit_levels == (0.75, -0.75)
+    assert rung(two, rec).step[0] == 2
     # the state at the earlier level, whole
-    assert _same_state(two.rung(rec, 0.25), rec.hit_states[-0.75])
-    assert verify.HittingClockFamily(cs=(50.0,)).rung(rec, 50.0).step[0] == NOT_HIT
+    assert _same_state(rung(two, rec), rec.hit_states[-0.75])
+    assert rung(verify.HittingClockFamily(cs=(50.0,)), rec).step[0] == NOT_HIT
     plan = PathPlan(tracked_levels=(0.7,), lt_level=0.7, lt_thresholds=(1e9,))
     family = verify.InverseLocalTimeClockFamily(cs=(0.7,), u=1e9)
-    assert family.rung(walk_fixed(values, plan), 0.7).step[0] == NOT_HIT
+    assert rung(family, walk_fixed(values, plan)).step[0] == NOT_HIT
 
 
 def test_clock_ordering_two_point_before_single():

@@ -251,7 +251,7 @@ def state(l_a, l_b, l_c, hit_a=NOT_HIT, hit_b=NOT_HIT, step=10):
 
 
 def weight(p, l_a, l_b, hit_a=NOT_HIT, hit_b=NOT_HIT, step=10, l_c=0.0):
-    return pen.path_weight(p.rates, PLAN, state(l_a, l_b, l_c, hit_a, hit_b, step))[0]
+    return pen.path_weight(p, PLAN, state(l_a, l_b, l_c, hit_a, hit_b, step))[0]
 
 
 def test_weight_value_regimes():
@@ -264,9 +264,6 @@ def test_weight_value_regimes():
     p = params(la=INF, lb=INF)
     assert weight(p, 0.4, 0.4) == 1.0       # infinite rates read detections only
     assert weight(p, 0.0, 0.0, hit_a=3) == 0.0
-    # zero rates, which no penalization holds, weigh 1 (the decay-rate fit's unit weight)
-    unit = pen.path_weight(((0.0, 0.0), (1.0, 0.0)), PLAN, state(5.0, 7.0, 0.0, 0, 0))
-    assert unit[0] == 1.0
 
 
 def test_martingale_value_examples():
@@ -280,11 +277,8 @@ def test_martingale_value_examples():
 
 def test_inverse_clock_martingale_value():
     def value(rate, p, l_a, l_b, l_c):
-        return pen.inverse_clock_value(p.rates, PLAN, 2.0, rate, state(l_a, l_b, l_c))[0]
+        return pen.inverse_clock_value(p, PLAN, 2.0, rate, state(l_a, l_b, l_c))[0]
 
-    unit = pen.inverse_clock_value(((0.0, 0.0), (1.0, 0.0)), PLAN, 2.0, 0.0,
-                                   state(1.0, 2.0, 5.0))
-    assert unit[0] == 1.0
     assert value(0.5, params(la=1.0, lb=1.0), 1.0, 0.5, 2.0) == pytest.approx(
         math.exp(-0.5), rel=1e-12)
     for rate in (0.3, 1.1):
@@ -312,9 +306,9 @@ def test_weight_rows_are_the_scalar_formula_bit_for_bit():
                 else math.prod(math.exp(-lam * lt) for lt, (_, lam) in zip(ls, p.rates)
                                if lam < INF)
                 for ls, hs in zip(lts.tolist(), hits.tolist())]
-        assert pen.path_weight(p.rates, PLAN, rows).tolist() == want
-    got = pen.inverse_clock_value(params(la=0.7, lb=1.3).rates, PLAN, 2.0, 0.4, rows)
-    weights = pen.path_weight(params(la=0.7, lb=1.3).rates, PLAN, rows)
+        assert pen.path_weight(p, PLAN, rows).tolist() == want
+    got = pen.inverse_clock_value(params(la=0.7, lb=1.3), PLAN, 2.0, 0.4, rows)
+    weights = pen.path_weight(params(la=0.7, lb=1.3), PLAN, rows)
     assert got.tolist() == [math.exp(lc * 0.4) * w for lc, w in zip(lts[:, 2].tolist(),
                                                                      weights.tolist())]
 
@@ -334,19 +328,13 @@ def test_decay_rate_rejects_bad_u0(u0):
     # u0 = 0 used to write NaN and Infinity into the report, u0 < 0 failed
     # with an unrelated threshold-order message
     with pytest.raises(ValueError, match="u0 must be"):
-        pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0, _mc(), u0=u0)
-
-
-def test_decay_rate_zero_weights():
-    est = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 0.0, 0.0, _mc())
-    assert est.estimate == 0.0
-    assert abs(est.raw_estimate) <= 3 * est.stderr + 1e-12
+        pen.estimate_decay_rate(BM, params(1.0, 2.0), 0.0, _mc(), u0=u0)
 
 
 def test_decay_rate_monotone_in_rate():
-    low = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0,
+    low = pen.estimate_decay_rate(BM, params(1.0, 2.0, la=1.0), 0.0,
                                   _mc(n=1500, seed=23, dt=1e-3, horizon=60.0))
-    high = pen.estimate_decay_rate(BM, 1.0, 2.0, 0.0, 2.0, 1.0,
+    high = pen.estimate_decay_rate(BM, params(1.0, 2.0, la=2.0), 0.0,
                                    _mc(n=1500, seed=24, dt=1e-3, horizon=60.0))
     spread = 3.0 * math.hypot(low.stderr, high.stderr)
     assert high.estimate >= low.estimate - spread
@@ -357,18 +345,18 @@ def test_decay_rate_finite_rate_reads_its_own_local_time():
     # a point out of reach keeps zero local time and is never detected, so
     # a finite and an infinite rate there weigh every path alike
     mc = _mc(n=200, dt=2e-3, horizon=20.0)
-    finite = pen.estimate_decay_rate(BM, 50.0, 1.0, 0.0, 1.0, INF, mc)
-    avoid = pen.estimate_decay_rate(BM, 50.0, 1.0, 0.0, INF, INF, mc)
+    finite = pen.estimate_decay_rate(BM, params(50.0, 1.0, lb=INF), 0.0, mc)
+    avoid = pen.estimate_decay_rate(BM, params(50.0, 1.0, la=INF, lb=INF), 0.0, mc)
     assert finite.log_means == avoid.log_means
 
 
 def test_decay_rate_requires_distinct_levels():
     with pytest.raises(ValueError):
-        pen.estimate_decay_rate(BM, 1.0, 1.0, 0.0, 1.0, 1.0, _mc())
+        pen.estimate_decay_rate(BM, params(1.0, 1.0), 0.0, _mc())
 
 
 def test_decay_rate_degenerate_avoidance():
     # avoiding two points hugging the clock level kills every weight
     with pytest.raises(pen.MCDegenerateError):
-        pen.estimate_decay_rate(BM, 0.05, -0.05, 0.0, INF, INF,
+        pen.estimate_decay_rate(BM, params(0.05, -0.05, la=INF, lb=INF), 0.0,
                                 _mc(n=200, dt=1e-4, horizon=5.0), u0=1.0)

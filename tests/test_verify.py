@@ -253,10 +253,31 @@ def test_clock_family_validation():
             verify.InverseLocalTimeClockFamily(cs=(1.0, bad))
         with pytest.raises(ValueError):
             verify.LocalTimeBudgetClockFamily(c=bad, us=(1.0,))
-    fam = verify.TwoPointClockFamily(gamma=-1.0, rs=(50.0,))
-    c, d = fam.thresholds(50.0)
+    # a schedule is nonempty, finite and strictly monotone toward the limit;
+    # an empty one passed vacuously, (inf,) two-point ended in KeyError: nan
+    for make in (lambda: verify.ExponentialClockFamily(qs=()),
+                 lambda: verify.TwoPointClockFamily(gamma=0.0, rs=()),
+                 lambda: verify.LocalTimeBudgetClockFamily(c=0.0, us=()),
+                 lambda: verify.HittingClockFamily(cs=()),
+                 lambda: verify.InverseLocalTimeClockFamily(cs=()),
+                 lambda: verify.ExponentialClockFamily(qs=(math.inf,)),
+                 lambda: verify.InverseLocalTimeClockFamily(cs=(1.0,), u=math.inf),
+                 lambda: verify.LocalTimeBudgetClockFamily(c=0.0, us=(1.0, math.inf)),
+                 lambda: verify.TwoPointClockFamily(gamma=1.0, rs=(math.inf,)),
+                 lambda: verify.HittingClockFamily(cs=(50.0, 10.0)),
+                 lambda: verify.HittingClockFamily(cs=(-10.0, -10.0)),
+                 lambda: verify.InverseLocalTimeClockFamily(cs=(-50.0, -10.0)),
+                 lambda: verify.ExponentialClockFamily(qs=(0.01, 0.1)),
+                 lambda: verify.TwoPointClockFamily(gamma=0.0, rs=(4.0, 2.0)),
+                 lambda: verify.LocalTimeBudgetClockFamily(c=0.0, us=(1.0, 1.0))):
+        with pytest.raises(ValueError, match="ClockFamily: "):
+            make()
+    (clock,) = verify.TwoPointClockFamily(gamma=-1.0, rs=(50.0,)).clocks()
+    c, minus_d = clock.hit_levels
     assert c == pytest.approx(100.0 + math.sqrt(50.0))
-    assert d == pytest.approx(math.sqrt(50.0))
+    assert minus_d == pytest.approx(-math.sqrt(50.0))
+    assert clock.meta == {"family": "two-point", "r": 50.0, "gamma": -1.0, "c": c,
+                          "d": -minus_d}
 
 
 def test_inverse_clock_martingale_runs_and_documents_drift():
@@ -268,13 +289,13 @@ def test_inverse_clock_martingale_runs_and_documents_drift():
     """
     mc = MCConfig(n_paths=2000, master_seed=9, grid=SimGrid(dt=5e-4, horizon=100.0),
                   censor_budget=0.3)
-    rate = estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0, mc)
+    rate = estimate_decay_rate(BM, PenalizationParams(1.0, 2.0, 1.0, 1.0), 0.0, mc)
     assert rate.estimate > 0
     # residual diagnostic: the u-decay really is exponential
     for resid, se in zip(rate.residuals, rate.log_stderrs):
         assert abs(resid) < 2.0 * se
     reports = verify.check_inverse_clock_martingale(
-        BM, 1.0, 2.0, 0.0, 1.0, 1.0, (0.1, 0.25), 0.0, mc, rate=rate)
+        BM, PenalizationParams(1.0, 2.0, 1.0, 1.0), 0.0, (0.1, 0.25), 0.0, mc, rate=rate)
     for r, t in zip(reports, (0.1, 0.25)):
         predicted = 1.0 + rate.estimate * math.sqrt(2.0 * t / math.pi)
         assert r.estimate > 1.0 + 2.0 * r.stderr  # drift is resolved, not noise
@@ -288,18 +309,9 @@ def test_martingale_checks_reject_t_outside_the_horizon():
     params = PenalizationParams(1.0, 2.0, 1.0, 1.0)
     for bad in ((0.1, 0.9), (-0.1,), ()):
         with pytest.raises(ValueError, match="t grid"):
-            verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, 1.0, 1.0, bad, 0.0, mc)
+            verify.check_inverse_clock_martingale(BM, params, 0.0, bad, 0.0, mc)
         with pytest.raises(ValueError, match="t grid"):
             verify.check_martingale(BM, params, bad, 0.0, mc)
-
-
-def test_inverse_clock_martingale_trivial_weight():
-    mc = MCConfig(n_paths=500, master_seed=10, grid=SimGrid(dt=1e-3, horizon=10.0),
-                  censor_budget=0.5)
-    reports = verify.check_inverse_clock_martingale(
-        BM, 1.0, 2.0, 0.0, 0.0, 0.0, (0.1,), 0.0, mc)
-    r = reports[0]
-    assert r.estimate == 1.0 and r.target == 1.0 and r.passed
 
 
 def test_budget_clock_family_lhs_normalization():
@@ -307,7 +319,7 @@ def test_budget_clock_family_lhs_normalization():
     p = PenalizationParams(1.0, 2.0, 1.0, 1.0)
     mc = MCConfig(n_paths=1000, master_seed=12, grid=SimGrid(dt=1e-3, horizon=60.0),
                   censor_budget=0.4)
-    rate = estimate_decay_rate(BM, 1.0, 2.0, 0.0, 1.0, 1.0, mc)
+    rate = estimate_decay_rate(BM, p, 0.0, mc)
     fam = verify.LocalTimeBudgetClockFamily(c=0.0, us=(0.5, 1.0))
     ones = verify.ClippedIdentity(1.0, 1.0)
     reports = verify.check_penalization_limit(BM, p, fam, ones, 0.1, 0.0, mc, rate=rate)
@@ -396,16 +408,20 @@ def test_non_finite_points_rejected_before_any_walk(bad, monkeypatch):
 
 def test_decay_rate_rejects_bad_points_and_rates_before_any_walk(monkeypatch):
     # a NaN rate used to be dropped silently and (inf, 1) to fail only in
-    # the check after the whole decay walk
+    # the check after the whole decay walk; the params now reject the
+    # rates, and the fit and the check reject the clock level
     _forbid_walks(monkeypatch)
     mc = mc_small(n=100, dt=4e-3, horizon=60.0)
-    for c, la, lb in ((0.0, math.nan, 1.0), (0.0, 1.0, math.nan), (math.nan, 1.0, 1.0),
-                      (INF, 1.0, 1.0), (-INF, 1.0, 1.0), (0.0, INF, 1.0)):
-        with pytest.raises(ValueError):
-            estimate_decay_rate(BM, 1.0, 2.0, c, la, lb, mc)
+    for la, lb in ((math.nan, 1.0), (1.0, math.nan), (INF, 1.0)):
+        with pytest.raises(ValueError, match=rf"rate pair \({la}, {lb}\)"):
+            PenalizationParams(1.0, 2.0, la, lb)
+    params = PenalizationParams(1.0, 2.0, 1.0, 1.0)
     monkeypatch.setattr(verify, "estimate_decay_rate", _forbid_walks(monkeypatch))
-    with pytest.raises(ValueError, match=r"rate pair \(inf, 1.0\)"):
-        verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, INF, 1.0, (0.1,), 0.0, mc)
+    for c in (math.nan, INF, -INF):
+        with pytest.raises(ValueError, match="clock level"):
+            estimate_decay_rate(BM, params, c, mc)
+        with pytest.raises(ValueError, match="clock level"):
+            verify.check_inverse_clock_martingale(BM, params, c, (0.1,), 0.0, mc)
 
 
 @pytest.mark.parametrize("c", [math.nan, INF, 1.0])
@@ -422,8 +438,8 @@ def test_clock_level_is_checked_with_an_injected_rate(c, monkeypatch):
         survivors=(100,) * 3, censored_fraction=0.0)
     mc = mc_small(n=100, dt=4e-3, horizon=60.0)
     with pytest.raises(ValueError, match="clock level"):
-        verify.check_inverse_clock_martingale(BM, 1.0, 2.0, c, 1.0, 1.0, (0.1,), 0.0, mc,
-                                              rate=rate)
+        verify.check_inverse_clock_martingale(BM, PenalizationParams(1.0, 2.0, 1.0, 1.0), c,
+                                              (0.1,), 0.0, mc, rate=rate)
     with pytest.raises(ValueError, match="clock level"):
         verify.check_penalization_limit(
             BM, PenalizationParams(1.0, 2.0, 1.0, 1.0),
@@ -439,8 +455,7 @@ def test_nan_in_the_t_grid_is_rejected_before_any_walk(monkeypatch):
     with pytest.raises(ValueError, match="t grid"):
         verify.check_martingale(BM, p, (0.1, math.nan), 0.0, mc)
     with pytest.raises(ValueError, match="t grid"):
-        verify.check_inverse_clock_martingale(BM, 1.0, 2.0, 0.0, 1.0, 1.0, (math.nan,),
-                                              0.0, mc)
+        verify.check_inverse_clock_martingale(BM, p, 0.0, (math.nan,), 0.0, mc)
     with pytest.raises(ValueError, match="t grid"):
         verify.check_penalization_limit(BM, p, verify.ExponentialClockFamily(qs=(1.0,)),
                                         verify.IndicatorAbove(2.0), math.nan, 0.0, mc)
@@ -451,8 +466,8 @@ def test_decay_rate_stderr_is_the_batch_stderr_with_empty_batches():
     # of the 50 batches have no path at u = 2, and the fit used to divide
     # their spread by sqrt(50) all the same
     mc = MCConfig(n_paths=200, master_seed=2024, grid=SimGrid(dt=1e-3, horizon=10.0))
-    est = estimate_decay_rate(BM, 0.0, 1.0, -1.0, 1.0, 2.0, mc)
-    rates = PenalizationParams(0.0, 1.0, 1.0, 2.0).rates
+    params = PenalizationParams(0.0, 1.0, 1.0, 2.0)
+    est = estimate_decay_rate(BM, params, -1.0, mc)
     plan = PathPlan(tracked_levels=(-1.0, 0.0, 1.0), lt_level=-1.0,
                     lt_thresholds=est.u_grid)
     weights, present = np.zeros((3, 200)), np.zeros((3, 200))
@@ -460,7 +475,7 @@ def test_decay_rate_stderr_is_the_batch_stderr_with_empty_batches():
     for j, u in enumerate(est.u_grid):
         crossed = rec.crossings[u].step != NOT_HIT
         present[j, crossed] = 1.0
-        weights[j, crossed] = pen.path_weight(rates, plan, rec.crossings[u])[crossed]
+        weights[j, crossed] = pen.path_weight(params, plan, rec.crossings[u])[crossed]
     assert (present[2].reshape(50, -1).sum(axis=1) > 0).sum() == 48
     for w, n, log_se in zip(weights, present, est.log_stderrs):
         want = verify._batch_stderr(w, n) / (w.sum() / n.sum())

@@ -11,19 +11,23 @@ and their exit status (``<command>.status``).
 
 It also writes ``OUT_DIR/ensembles/<model>.json``: the reports of
 ``check_penalization_limit`` for the five clock families in the regimes
-(1, 2), (1, inf) and (inf, inf), and of ``check_martingale`` in (1, 1),
-(1, inf) and (inf, inf), on Brownian motion, stable(1.5) and
+(1, 2), (1, inf) and (inf, inf), of ``check_martingale`` in (1, 1),
+(1, inf) and (inf, inf), and the ``estimate_decay_rate`` fit and the
+``check_inverse_clock_martingale`` reports at clock level c = -1 in
+(1, 2), (1, inf) and (inf, inf), on Brownian motion, stable(1.5) and
 ``jump_diffusion(1, 1, 1, 2)``, each on a small ensemble; a set-up that
-raises records its error instead.
+raises records its error instead.  (The command line reaches the
+inverse clock with finite rates only: it reads an infinite rate as 1.)
 
 Run it on two commits and compare the two directories with ``diff -r``
-to see which outputs a change moved.  It takes about two minutes on a
-2-vCPU machine and is not part of the test suite.
+to see which outputs a change moved.  It takes about 20 s on a 2-vCPU
+machine and is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -35,7 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from levypen import cli, models, verify  # noqa: E402
 from levypen.pathsim import MCConfig, SimGrid  # noqa: E402
-from levypen.penalization import PenalizationParams  # noqa: E402
+from levypen.penalization import PenalizationParams, estimate_decay_rate  # noqa: E402
 
 _GRID_MC = """
 [grid]
@@ -138,28 +142,42 @@ CLOCK_FAMILIES = {
 }
 
 
-def _reports(check, *args) -> list | str:
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or its error as a string."""
     try:
-        return [r.to_dict() for r in check(*args)]
+        return call(*args)
     except Exception as exc:  # a set-up that raises is an output too
         return f"{type(exc).__name__}: {exc}"
 
 
+def _reports(check, *args) -> list | str:
+    reports = _outcome(check, *args)
+    return reports if isinstance(reports, str) else [r.to_dict() for r in reports]
+
+
 def ensembles(model) -> dict:
-    """Limit and martingale reports of one model, keyed by set-up."""
+    """Limit, martingale and inverse-clock reports of one model, keyed by set-up."""
     out = {}
-    mc = MCConfig(n_paths=200, master_seed=5, grid=SimGrid(dt=4e-3, horizon=100.0))
+    long_mc = MCConfig(n_paths=200, master_seed=5, grid=SimGrid(dt=4e-3, horizon=100.0))
+    short_mc = MCConfig(n_paths=500, master_seed=5, grid=SimGrid(dt=1e-3, horizon=0.55))
     for rates in ((1.0, 2.0), (1.0, math.inf), (math.inf, math.inf)):
         params = PenalizationParams(0.0, 1.0, *rates)
         for name, family in CLOCK_FAMILIES.items():
             out[f"limit {rates} {name}"] = _reports(
                 verify.check_penalization_limit, model, params, family,
-                verify.IndicatorAbove(2.0), 0.25, 2.0, mc)
-    mc = MCConfig(n_paths=500, master_seed=5, grid=SimGrid(dt=1e-3, horizon=0.55))
+                verify.IndicatorAbove(2.0), 0.25, 2.0, long_mc)
+        # the decay rate is fitted on the long walks and fed to the
+        # inverse-clock check, whose short walks start at the clock level
+        fit = _outcome(estimate_decay_rate, model, params, -1.0, long_mc)
+        failed = isinstance(fit, str)
+        out[f"decay-rate {rates}"] = fit if failed else dataclasses.asdict(fit)
+        out[f"inverse-clock {rates}"] = fit if failed else _reports(
+            verify.check_inverse_clock_martingale, model, params, -1.0, (0.1, 0.5), -1.0,
+            short_mc, fit)
     for rates in ((1.0, 1.0), (1.0, math.inf), (math.inf, math.inf)):
         out[f"martingale {rates}"] = _reports(
             verify.check_martingale, model, PenalizationParams(0.0, 1.0, *rates),
-            (0.1, 0.5), 2.0, mc)
+            (0.1, 0.5), 2.0, short_mc)
     return out
 
 
